@@ -19,14 +19,7 @@ import sys
 import tempfile
 
 from .errors import PathseqError
-from .generalized import (
-    GenStarlikeSpec,
-    generalized_census,
-    generalized_invariant,
-    generalized_profile,
-    load_generalized_spec,
-    realize_generalized,
-)
+from .generalized import GenStarlikeSpec, load_generalized_spec
 from .graph import (
     DEFAULT_BUDGET,
     Graph,
@@ -50,11 +43,12 @@ from .reconstruct import (
 )
 from .starlike import (
     StarlikeSpec,
+    _closed_census,
+    _closed_invariant,
+    _closed_profile,
+    _point,
+    _realize,
     load_starlike_spec,
-    realize_starlike,
-    starlike_census,
-    starlike_invariant,
-    starlike_profile,
 )
 
 
@@ -63,15 +57,13 @@ class UsageError(Exception):
 
 
 def _load_inputs(args) -> list[Graph | StarlikeSpec | GenStarlikeSpec]:
-    items = []
-    for path in args.graph or []:
-        items.append(load_edge_list(path))
-    for path in args.starlike or []:
-        items.append(load_starlike_spec(path))
-    for path in args.generalized or []:
-        # a clique of 2 normalizes to a plain starlike spec
-        items.append(load_generalized_spec(path))
-    return items
+    # a --generalized clique of 2 normalizes to a plain starlike spec
+    loaders = (
+        (args.graph, load_edge_list),
+        (args.starlike, load_starlike_spec),
+        (args.generalized, load_generalized_spec),
+    )
+    return [load(path) for paths, load in loaders for path in paths or []]
 
 
 def _single_input(args):
@@ -87,32 +79,10 @@ def _rho(obj, budget: int) -> int:
     return obj.longest_path_length
 
 
-def _census(obj, order: int, budget: int):
-    if isinstance(obj, Graph):
-        return path_census(obj, order, budget)
-    if order < 2:
-        # closed forms start at order 2; low orders enumerate the realization
-        g = realize_starlike(obj) if isinstance(obj, StarlikeSpec) else realize_generalized(obj)
-        return path_census(g, order, budget)
-    if isinstance(obj, StarlikeSpec):
-        return starlike_census(obj, order)
-    return generalized_census(obj, order)
-
-
-def _invariant(obj, order: int, f, budget: int) -> float:
-    if isinstance(obj, Graph):
-        return evaluate_invariant(obj, order, f, budget)
-    if isinstance(obj, StarlikeSpec):
-        return starlike_invariant(obj, order, f)
-    return generalized_invariant(obj, order, f)
-
-
 def _profile(obj, f, max_order: int, budget: int) -> list[float]:
     if isinstance(obj, Graph):
         return invariant_profile(obj, f, max_order, budget)
-    if isinstance(obj, StarlikeSpec):
-        return starlike_profile(obj, f, max_order)
-    return generalized_profile(obj, f, max_order)
+    return _closed_profile(obj, f, max_order)
 
 
 def _index(args):
@@ -125,7 +95,11 @@ def _index(args):
 def _cmd_invariant(args) -> dict:
     obj = _single_input(args)
     f = _index(args)
-    return {"h": args.order, "value": _invariant(obj, args.order, f, args.budget)}
+    if isinstance(obj, Graph):
+        value = evaluate_invariant(obj, args.order, f, args.budget)
+    else:
+        value = _closed_invariant(obj, args.order, f)
+    return {"h": args.order, "value": value}
 
 
 def _cmd_profile(args) -> dict:
@@ -143,7 +117,10 @@ def _cmd_profile(args) -> dict:
 
 def _cmd_census(args) -> dict:
     obj = _single_input(args)
-    census = _census(obj, args.order, args.budget)
+    if isinstance(obj, Graph):
+        census = path_census(obj, args.order, args.budget)
+    else:
+        census = _closed_census(obj, args.order)
     classes = [
         {"degrees": list(seq), "count": count}
         for seq, count in sorted(census.entries.items())
@@ -158,9 +135,8 @@ def _cmd_verify(args) -> dict:
     f = _index(args)
     rho = obj.longest_path_length
     h_max = rho if args.max_order is None else args.max_order
-    g = realize_starlike(obj) if isinstance(obj, StarlikeSpec) else realize_generalized(obj)
-    brute = invariant_profile(g, f, h_max, args.budget)
-    closed = _profile(obj, f, h_max, args.budget)
+    brute = invariant_profile(_realize(obj), f, h_max, args.budget)
+    closed = _closed_profile(obj, f, h_max)
     abs_diffs = [abs(a - b) for a, b in zip(brute, closed)]
     rel_diffs = [d / max(1.0, abs(a), abs(b)) for d, a, b in zip(abs_diffs, brute, closed)]
     ok = all(d <= args.tol for d in rel_diffs)
@@ -177,23 +153,17 @@ def _cmd_verify(args) -> dict:
 def _cmd_reconstruct(args) -> dict:
     obj = _single_input(args)
     f = _index(args)
+    profile = _profile(obj, f, _rho(obj, args.budget), args.budget)
     if isinstance(obj, Graph):
-        rho = longest_path_length(obj, args.budget)
-        profile = invariant_profile(obj, f, rho, args.budget)
-        if obj.edge_count == obj.vertex_count - 1:
-            result = reconstruct_starlike(obj.vertex_count, profile, f, args.tol)
-        else:
-            result = reconstruct_generalized(
-                obj.vertex_count, max(obj.degrees), profile, f, args.tol
-            )
-    elif isinstance(obj, StarlikeSpec):
-        profile = starlike_profile(obj, f, obj.longest_path_length)
+        # an edge-list input picks its family: a tree is starlike
+        tree, r = obj.edge_count == obj.vertex_count - 1, max(obj.degrees)
+    else:
+        n1, _, m, _ = _point(obj)
+        tree, r = n1 == 1, m + n1 - 1
+    if tree:
         result = reconstruct_starlike(obj.vertex_count, profile, f, args.tol)
     else:
-        profile = generalized_profile(obj, f, obj.longest_path_length)
-        result = reconstruct_generalized(
-            obj.vertex_count, obj.max_degree, profile, f, args.tol
-        )
+        result = reconstruct_generalized(obj.vertex_count, r, profile, f, args.tol)
     return {"index": f.name, **result.to_dict()}
 
 
@@ -246,23 +216,17 @@ def _cell(value) -> str:
 def _to_csv(doc: dict) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
+    table = []
     if "classes" in doc:
-        for key, value in doc.items():
-            if key != "classes":
-                writer.writerow([key, _cell(value)])
-        writer.writerow(["degrees", "count"])
-        for cls in doc["classes"]:
-            writer.writerow([" ".join(map(str, cls["degrees"])), _cell(cls["count"])])
+        table = [["degrees", "count"]] + [
+            [" ".join(map(str, cls["degrees"])), _cell(cls["count"])] for cls in doc["classes"]
+        ]
     elif "values" in doc:
-        for key, value in doc.items():
-            if key != "values":
-                writer.writerow([key, _cell(value)])
-        writer.writerow(["h", "value"])
-        for h, value in enumerate(doc["values"]):
-            writer.writerow([h, _cell(value)])
-    else:
-        for key, value in doc.items():
+        table = [["h", "value"]] + [[h, _cell(v)] for h, v in enumerate(doc["values"])]
+    for key, value in doc.items():
+        if key not in ("classes", "values"):
             writer.writerow([key, _cell(value)])
+    writer.writerows(table)
     return buf.getvalue()
 
 

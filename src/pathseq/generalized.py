@@ -4,20 +4,27 @@ Glue one vertex of a complete graph on n1 vertices onto the root of a
 starlike tree. Paths now come in three kinds: entirely inside the tree
 (same shapes as the plain starlike case, except the hub vertex carries
 degree m + n1 - 1), entirely inside the clique, or crossing the hub with
-one side in each. All three kinds still have closed-form censuses.
+one side in each. All three kinds still have closed-form censuses; they
+live in starlike.py, where a plain starlike tree is the clique-size-1 case.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from math import fsum
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .errors import FormatError, InvalidSpecError
-from .graph import Census, Graph, build_graph
 from .invariants import InvariantFunction
-from .starlike import StarlikeSpec, _census_terms, merge_terms
+from .starlike import (
+    StarlikeSpec,
+    _closed_invariant,
+    _closed_profile,
+    _load_json,
+    _realize,
+    mu_coefficient,
+    parse_starlike_spec,
+    starlike_census,
+)
 
 
 @dataclass(frozen=True)
@@ -72,140 +79,11 @@ def coalesce_spec(
     return GenStarlikeSpec(clique_size, star)
 
 
-def realize_generalized(spec: GenStarlikeSpec) -> Graph:
-    """Hub is vertex 0; clique fills 1..clique_size-1; branches follow."""
-    n1 = spec.clique_size
-    edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
-    nxt = n1
-    for length, count in spec.star.branches:
-        for _ in range(count):
-            prev = 0
-            for _ in range(length):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    return build_graph(spec.vertex_count, edges)
-
-
-def _falling(n1: int, k: int, offset: int = 0) -> int:
-    """Ordered choices of k distinct non-hub clique vertices, skipping offset."""
-    out = 1
-    for i in range(1, k + 1):
-        out *= n1 - offset - i
-        if out == 0:
-            return 0
-    return out
-
-
-def _clique_terms(
-    h: int, n1: int, root_degree: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Paths whose vertices all lie in the clique."""
-    c = n1 - 1
-    # Hub endpoint, rest inside the clique: ordered choice of h vertices.
-    yield (root_degree,) + (c,) * h, _falling(n1, h)
-    # No hub at all: ordered choice of h+1 vertices, halved for orientation.
-    yield (c,) * (h + 1), _falling(n1, h + 1) // 2
-    # Hub inside at distance a from the nearer end; both sides clique-only.
-    for a in range(1, h // 2 + 1):
-        count = _falling(n1, a) * _falling(n1, h - a, offset=a)
-        if a == h - a:
-            count //= 2
-        yield (c,) * a + (root_degree,) + (c,) * (h - a), count
-
-
-def _bridge_terms(
-    h: int, n1: int, m: int, L: Mapping[int, int], root_degree: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Paths through the hub with one side in the clique, one in the tree."""
-    c = n1 - 1
-
-    def S(k: int) -> int:
-        return sum(cnt for l, cnt in L.items() if l <= k)
-
-    for a in range(1, h):
-        ordered = _falling(n1, a)
-        # tree side ends strictly inside a branch longer than h-a
-        yield (c,) * a + (root_degree,) + (2,) * (h - a), ordered * (m - S(h - a))
-        # tree side ends exactly at a leaf of a length h-a branch
-        yield (c,) * a + (root_degree,) + (2,) * (h - a - 1) + (1,), ordered * L.get(h - a, 0)
-
-
-def _all_terms(
-    h: int, n1: int, n2: int, m: int, L: Mapping[int, int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    R = m + n1 - 1
-    yield from _census_terms(h, m, L, n2, R)
-    yield from _clique_terms(h, n1, R)
-    yield from _bridge_terms(h, n1, m, L, R)
-
-
-def generalized_census(spec: GenStarlikeSpec, order: int) -> Census:
-    """Closed-form census for order >= 2.
-
-    Distinct shapes can share a degree sequence (a 3-clique's outer vertices
-    look like branch-interior vertices); the merge is unconditional.
-    """
-    if order < 2:
-        raise ValueError("closed-form census requires order >= 2")
-    star = spec.star
-    return merge_terms(
-        _all_terms(
-            order, spec.clique_size, star.vertex_count, star.root_degree,
-            star.branch_counts,
-        ),
-        order,
-    )
-
-
-def _formal_invariant(
-    n1: int, n2: int, m: int, L: Mapping[int, int], h: int, f: InvariantFunction
-) -> float:
-    """Invariant at a parameter point, without realizability checks."""
-    if h == 0:
-        R = m + n1 - 1
-        return fsum(
-            [f((R,)), m * f((1,)), (n2 - m - 1) * f((2,)), (n1 - 1) * f((n1 - 1,))]
-        )
-    return fsum(
-        count * f(seq) for seq, count in _all_terms(h, n1, n2, m, L) if count != 0
-    )
-
-
-def generalized_invariant(
-    spec: GenStarlikeSpec, order: int, f: InvariantFunction
-) -> float:
-    """Order-h invariant of the coalesced tree, without enumeration."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    n1 = spec.clique_size
-    star = spec.star
-    m, n2 = star.root_degree, star.vertex_count
-    R = m + n1 - 1
-    c = n1 - 1
-    if order == 0:
-        return fsum([f((R,)), m * f((1,)), (n2 - m - 1) * f((2,)), c * f((c,))])
-    if order == 1:
-        L1 = star.count(1)
-        return fsum(
-            [
-                c * f((R, c)),
-                (c * (c - 1) // 2) * f((c, c)),
-                L1 * f((R, 1)),
-                (m - L1) * f((R, 2)),
-                (m - L1) * f((1, 2)),
-                (n2 - 1 - 2 * m + L1) * f((2, 2)),
-            ]
-        )
-    census = generalized_census(spec, order)
-    return fsum(count * f(seq) for seq, count in census.entries.items())
-
-
-def generalized_profile(
-    spec: GenStarlikeSpec, f: InvariantFunction, max_order: int
-) -> list[float]:
-    """Closed-form invariant values for orders 0..max_order."""
-    return [generalized_invariant(spec, h, f) for h in range(max_order + 1)]
+# The starlike closed forms and realizer take either spec.
+realize_generalized = _realize
+generalized_census = starlike_census
+generalized_invariant = _closed_invariant
+generalized_profile = _closed_profile
 
 
 def generalized_mu(f: InvariantFunction, h: int, m: int, n1: int) -> float:
@@ -215,8 +93,6 @@ def generalized_mu(f: InvariantFunction, h: int, m: int, n1: int) -> float:
     substituted for the root degree: clique-only and bridge classes do not
     involve the count of length-h branches.
     """
-    from .starlike import mu_coefficient
-
     if n1 < 3:
         raise ValueError(f"clique size must be >= 3, got {n1}")
     return mu_coefficient(f, h, m + n1 - 1)
@@ -231,16 +107,9 @@ def parse_generalized_spec(doc: object) -> GenStarlikeSpec | StarlikeSpec:
     clique = doc["clique"]
     if not isinstance(clique, int):
         raise FormatError("'clique' must be an integer")
-    from .starlike import parse_starlike_spec
-
     star = parse_starlike_spec({"branches": doc["branches"]})
     return coalesce_spec(clique, star.branch_counts)
 
 
 def load_generalized_spec(path: str) -> GenStarlikeSpec | StarlikeSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from None
-    return parse_generalized_spec(doc)
+    return _load_json(path, parse_generalized_spec)

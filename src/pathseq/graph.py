@@ -95,20 +95,25 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise DisconnectedError(
             "vertex 0 is isolated; the smallest supported graph is a single edge"
         )
-    seen = bytearray(vertex_count)
-    seen[0] = 1
-    frontier = [0]
-    while frontier:
-        v = frontier.pop()
-        for w in neighbor_sets[v]:
-            if not seen[w]:
-                seen[w] = 1
-                frontier.append(w)
+    graph = Graph(vertex_count, tuple(tuple(sorted(s)) for s in neighbor_sets))
+    dist = _distances(graph, 0)
     for v in range(vertex_count):
-        if not seen[v]:
+        if dist[v] < 0:
             raise DisconnectedError(f"vertex {v} is unreachable from vertex 0")
+    return graph
 
-    return Graph(vertex_count, tuple(tuple(sorted(s)) for s in neighbor_sets))
+
+def _distances(graph: Graph, source: int) -> list[int]:
+    """Breadth-first edge distances from source; -1 marks unreachable vertices."""
+    dist = [-1] * graph.vertex_count
+    dist[source] = 0
+    queue = [source]
+    for v in queue:
+        for w in graph.adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
 
 
 def parse_edge_list(text: str) -> Graph:
@@ -156,6 +161,54 @@ def load_edge_list(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
+def _walk(
+    graph: Graph, max_length: int, budget: int, keys: Sequence | None = None
+) -> Iterator[list]:
+    """Budgeted depth-first walk over every path of at most max_length edges.
+
+    Yields each path once, in the orientation whose first vertex index is
+    <= its last, as the list of its vertices in path order, or of keys[v]
+    for them when keys is given. The list is extended and shrunk in place
+    as the walk moves, so a consumer copies what it keeps. Every step onto
+    an unvisited vertex, a path's first vertex included, is one node
+    expansion; passing budget raises.
+    """
+    adj = graph.adjacency
+    visited = bytearray(graph.vertex_count)
+    verts: list[int] = []
+    trail = verts if keys is None else []
+    # a virtual root adjacent to every vertex: its steps are the start vertices
+    stack = [iter(range(graph.vertex_count))]
+    expansions = 0
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            if verts:
+                visited[verts.pop()] = 0
+                if keys is not None:
+                    trail.pop()
+            continue
+        if visited[w]:
+            continue
+        expansions += 1
+        if expansions > budget:
+            raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+        visited[w] = 1
+        verts.append(w)
+        if keys is not None:
+            trail.append(keys[w])
+        if verts[0] <= w:
+            yield trail
+        if len(verts) <= max_length:
+            stack.append(iter(adj[w]))
+        else:
+            visited[w] = 0
+            verts.pop()
+            if keys is not None:
+                trail.pop()
+
+
 def enumerate_paths(
     graph: Graph, order: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
@@ -171,36 +224,9 @@ def enumerate_paths(
         for v in range(n):
             yield (v,)
         return
-    adj = graph.adjacency
-    expansions = 0
-    for start in range(n):
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-        visited = bytearray(n)
-        visited[start] = 1
-        verts = [start]
-        stack = [iter(adj[start])]
-        while stack:
-            w = next(stack[-1], None)
-            if w is None:
-                stack.pop()
-                visited[verts.pop()] = 0
-                continue
-            if visited[w]:
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-            visited[w] = 1
-            verts.append(w)
-            if len(verts) == order + 1:
-                if start < w:
-                    yield tuple(verts)
-                visited[w] = 0
-                verts.pop()
-            else:
-                stack.append(iter(adj[w]))
+    for trail in _walk(graph, order, budget):
+        if len(trail) > order:
+            yield tuple(trail)
 
 
 def census_series(
@@ -213,49 +239,11 @@ def census_series(
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    n = graph.vertex_count
-    adj = graph.adjacency
-    deg = [len(nbrs) for nbrs in adj]
     counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(max_order + 1)]
-    expansions = 0
-    for start in range(n):
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-        counts[0][(deg[start],)] += 1
-        if max_order == 0:
-            continue
-        visited = bytearray(n)
-        visited[start] = 1
-        verts = [start]
-        degs = [deg[start]]
-        stack = [iter(adj[start])]
-        while stack:
-            w = next(stack[-1], None)
-            if w is None:
-                stack.pop()
-                visited[verts.pop()] = 0
-                degs.pop()
-                continue
-            if visited[w]:
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-            visited[w] = 1
-            verts.append(w)
-            degs.append(deg[w])
-            length = len(verts) - 1
-            if start < w:
-                seq = tuple(degs)
-                rev = seq[::-1]
-                counts[length][seq if seq <= rev else rev] += 1
-            if length < max_order:
-                stack.append(iter(adj[w]))
-            else:
-                visited[w] = 0
-                verts.pop()
-                degs.pop()
+    for trail in _walk(graph, max_order, budget, graph.degrees):
+        seq = tuple(trail)
+        rev = seq[::-1]
+        counts[len(seq) - 1][seq if seq <= rev else rev] += 1
     return [Census(order=h, entries=dict(c)) for h, c in enumerate(counts)]
 
 
@@ -265,35 +253,20 @@ def path_census(graph: Graph, order: int, budget: int = DEFAULT_BUDGET) -> Censu
 
 
 def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
-    """Length of the longest simple path, by exhaustive search."""
+    """Length of the longest simple path.
+
+    A tree's comes from two breadth-first passes and needs no budget: the
+    vertex farthest from any vertex ends a longest path. Other graphs are
+    searched exhaustively.
+    """
     n = graph.vertex_count
-    adj = graph.adjacency
+    if graph.edge_count == n - 1:
+        dist = _distances(graph, 0)
+        return max(_distances(graph, dist.index(max(dist))))
     best = 0
-    expansions = 0
-    for start in range(n):
-        expansions += 1
-        if expansions > budget:
-            raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-        visited = bytearray(n)
-        visited[start] = 1
-        verts = [start]
-        stack = [iter(adj[start])]
-        while stack:
-            w = next(stack[-1], None)
-            if w is None:
-                stack.pop()
-                visited[verts.pop()] = 0
-                continue
-            if visited[w]:
-                continue
-            expansions += 1
-            if expansions > budget:
-                raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-            visited[w] = 1
-            verts.append(w)
-            if len(verts) - 1 > best:
-                best = len(verts) - 1
-                if best == n - 1:
-                    return best
-            stack.append(iter(adj[w]))
+    for trail in _walk(graph, n - 1, budget):
+        if len(trail) - 1 > best:
+            best = len(trail) - 1
+            if best == n - 1:
+                return best
     return best

@@ -25,11 +25,9 @@ from .errors import (
     ProfileMismatchError,
     SizeMismatchError,
 )
-from .generalized import GenStarlikeSpec, generalized_profile
-from .generalized import _formal_invariant as _coalesced_point_invariant
+from .generalized import GenStarlikeSpec
 from .invariants import InvariantFunction
-from .starlike import StarlikeSpec, mu_coefficient, starlike_profile
-from .starlike import _formal_invariant as _star_point_invariant
+from .starlike import StarlikeSpec, _closed_profile, _evaluate, mu_coefficient
 
 DEFAULT_TOL = 1e-9
 BRANCH_RESIDUAL_TOL = 1e-6
@@ -38,6 +36,11 @@ BRANCH_RESIDUAL_TOL = 1e-6
 def _close(a: float, b: float, tol: float) -> bool:
     """Hybrid comparison: absolute near zero, relative for large values."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _first_difference(a: list[float], b: list[float], tol: float) -> int | None:
+    """First order at which two profiles are not _close, else None."""
+    return next((h for h, (x, y) in enumerate(zip(a, b)) if not _close(x, y, tol)), None)
 
 
 @dataclass(frozen=True)
@@ -78,24 +81,54 @@ class ConditionReport:
         }
 
 
-def _scan_leaf_swap(
-    f: InvariantFunction, x_max: int, t_max: int, tol: float
-) -> tuple[bool, tuple[int, int] | None, float]:
-    """Shared condition: turning a deep leaf into an interior vertex must
-    move the invariant differently at root degree x than at degree 2."""
-    ok, witness, min_margin = True, None, float("inf")
+def _check_conditions(
+    family: str,
+    f: InvariantFunction,
+    weight: int,
+    base: float,
+    x_max: int,
+    t_max: int,
+    tol: float,
+) -> ConditionReport:
+    """Scan both inequalities for one family.
+
+    (a) the divided difference of x**weight * f(x) over single degrees
+    3 <= x < y <= x_max must avoid base; (b) turning a deep leaf into an
+    interior vertex must move the invariant differently at root degree x
+    than at degree 2, at every depth t <= t_max.
+    """
+    g = {x: x**weight * f((x,)) for x in range(3, x_max + 1)}
+    ok_a, witness_a, min_a = True, None, float("inf")
+    for x in range(3, x_max + 1):
+        for y in range(x + 1, x_max + 1):
+            margin = abs((g[x] - g[y]) / (x - y) - base)
+            if margin < min_a:
+                min_a = margin
+            if margin <= tol and ok_a:
+                ok_a, witness_a = False, (x, y)
+    ok_b, witness_b, min_b = True, None, float("inf")
     for t in range(t_max + 1):
         tail_leaf = (2,) * t + (1,)
         tail_inner = (2,) * (t + 1)
-        base = f((2,) + tail_leaf) - f((2,) + tail_inner)
+        swap = f((2,) + tail_leaf) - f((2,) + tail_inner)
         for x in range(3, x_max + 1):
-            g = f((x,) + tail_leaf) - f((x,) + tail_inner)
-            margin = abs(g - base)
-            if margin < min_margin:
-                min_margin = margin
-            if margin <= tol and ok:
-                ok, witness = False, (t, x)
-    return ok, witness, min_margin
+            margin = abs(f((x,) + tail_leaf) - f((x,) + tail_inner) - swap)
+            if margin < min_b:
+                min_b = margin
+            if margin <= tol and ok_b:
+                ok_b, witness_b = False, (t, x)
+    return ConditionReport(
+        family=family,
+        x_max=x_max,
+        t_max=t_max,
+        tolerance=tol,
+        condition_a=ok_a,
+        condition_b=ok_b,
+        counterexample_a=witness_a,
+        counterexample_b=witness_b,
+        min_margin_a=min_a,
+        min_margin_b=min_b,
+    )
 
 
 def check_starlike_conditions(
@@ -106,30 +139,7 @@ def check_starlike_conditions(
     (a) the divided difference of f on single degrees x, y >= 3 must avoid
     f(2) - f(1); (b) the leaf-swap gap must be nonzero at every depth.
     """
-    ok_a, witness_a, min_a = True, None, float("inf")
-    base = f((2,)) - f((1,))
-    for x in range(3, x_max + 1):
-        fx = f((x,))
-        for y in range(x + 1, x_max + 1):
-            lhs = (fx - f((y,))) / (x - y)
-            margin = abs(lhs - base)
-            if margin < min_a:
-                min_a = margin
-            if margin <= tol and ok_a:
-                ok_a, witness_a = False, (x, y)
-    ok_b, witness_b, min_b = _scan_leaf_swap(f, x_max, t_max, tol)
-    return ConditionReport(
-        family="starlike",
-        x_max=x_max,
-        t_max=t_max,
-        tolerance=tol,
-        condition_a=ok_a,
-        condition_b=ok_b,
-        counterexample_a=witness_a,
-        counterexample_b=witness_b,
-        min_margin_a=min_a,
-        min_margin_b=min_b,
-    )
+    return _check_conditions("starlike", f, 0, f((2,)) - f((1,)), x_max, t_max, tol)
 
 
 def check_generalized_conditions(
@@ -140,30 +150,7 @@ def check_generalized_conditions(
     (a) tightens to the divided difference of x * f(x) avoiding f(1), which
     the hub-degree scan needs; (b) is unchanged.
     """
-    ok_a, witness_a, min_a = True, None, float("inf")
-    base = f((1,))
-    for x in range(3, x_max + 1):
-        xfx = x * f((x,))
-        for y in range(x + 1, x_max + 1):
-            lhs = (xfx - y * f((y,))) / (x - y)
-            margin = abs(lhs - base)
-            if margin < min_a:
-                min_a = margin
-            if margin <= tol and ok_a:
-                ok_a, witness_a = False, (x, y)
-    ok_b, witness_b, min_b = _scan_leaf_swap(f, x_max, t_max, tol)
-    return ConditionReport(
-        family="generalized",
-        x_max=x_max,
-        t_max=t_max,
-        tolerance=tol,
-        condition_a=ok_a,
-        condition_b=ok_b,
-        counterexample_a=witness_a,
-        counterexample_b=witness_b,
-        min_margin_a=min_a,
-        min_margin_b=min_b,
-    )
+    return _check_conditions("generalized", f, 1, f((1,)), x_max, t_max, tol)
 
 
 @dataclass(frozen=True)
@@ -191,18 +178,18 @@ class ReconstructionResult:
 def _run_ladder(
     profile: list[float],
     f: InvariantFunction,
-    budget_len: int,
-    budget_cnt: int,
-    lam,
-    mu,
+    point: tuple[int, int, int, dict],
     branch_tol: float,
 ) -> dict[int, int]:
     """Recover branch counts order by order until the length budget is spent.
 
-    lam(L, h) evaluates the profile's closed form at the parameter point with
-    the counts found so far and the order-h count set to zero; mu(h) is the
-    slope in that count.
+    point is the candidate (n1, n2, m, {}). At order h the closed form is
+    evaluated with the counts found so far and the order-h count set to
+    zero; the gap to the profile, over the slope in that count, is the
+    count.
     """
+    n1, n2, m, _ = point
+    budget_len = n2 - 1
     counts: dict[int, int] = {}
     used_len = 0
     used_cnt = 0
@@ -213,12 +200,12 @@ def _run_ladder(
                 f"profile ends at order {len(profile) - 1} with "
                 f"{budget_len - used_len} branch length still unaccounted for"
             )
-        slope = mu(h)
+        slope = mu_coefficient(f, h, m + n1 - 1)
         if slope == 0.0:
             raise NonIntegerBranchCountError(
                 f"zero slope at order {h}; this index cannot resolve branch counts"
             )
-        raw = (profile[h] - lam(counts, h)) / slope
+        raw = (profile[h] - _evaluate((n1, n2, m, counts), h, f)) / slope
         k = round(raw)
         if abs(raw - k) > branch_tol:
             raise NonIntegerBranchCountError(
@@ -232,18 +219,74 @@ def _run_ladder(
         if k:
             used_len += h * k
             used_cnt += k
-            if used_len > budget_len or used_cnt > budget_cnt:
+            if used_len > budget_len or used_cnt > m:
                 raise BudgetMismatchError(
                     f"branches found through order {h} overfill the tree "
                     f"({used_cnt} branches, total length {used_len})"
                 )
             counts[h] = k
         h += 1
-    if used_cnt != budget_cnt:
+    if used_cnt != m:
         raise BudgetMismatchError(
-            f"recovered {used_cnt} branches but the root degree demands {budget_cnt}"
+            f"recovered {used_cnt} branches but the root degree demands {m}"
         )
     return counts
+
+
+def _hub_splits(n: int, r: int) -> Iterator[tuple[int, int, int]]:
+    """(n1, n2, m) for each clique size n1 >= 3 that leaves a tree on n2
+    vertices with m >= 3 branches, given n vertices and hub degree r."""
+    for n1 in range(3, r - 1):
+        m = r + 1 - n1
+        n2 = n - n1 + 1
+        if m >= 3 and n2 - 1 >= m:
+            yield n1, n2, m
+
+
+def _reconstruct(
+    profile: list[float],
+    f: InvariantFunction,
+    candidates: dict[int, tuple[int, int, int, dict]],
+    noun: str,
+    span: str,
+    tol: float,
+    branch_tol: float,
+) -> ReconstructionResult:
+    """Pick the one candidate point (n1, n2, m, {}) whose order-0 value
+    matches, run the ladder on its branches and replay the rebuilt spec.
+
+    candidates maps each scanned value (root degree or clique size) to its
+    point; noun names that value and span its range, for error messages.
+    """
+    if not profile:
+        raise BudgetMismatchError("profile is empty")
+    matches = [
+        key
+        for key, point in candidates.items()
+        if _close(profile[0], _evaluate(point, 0, f), tol)
+    ]
+    if not matches:
+        raise NoCandidateRootError(
+            f"no {noun} in {span} matches the order-0 value {profile[0]!r}"
+        )
+    if len(matches) > 1:
+        raise AmbiguousRootError(
+            f"{noun}s {matches} all match the order-0 value; "
+            "tighten the tolerance or use a steeper index"
+        )
+    point = candidates[matches[0]]
+    star = StarlikeSpec.from_counts(_run_ladder(profile, f, point, branch_tol))
+    spec = star if point[0] == 1 else GenStarlikeSpec(point[0], star)
+
+    check = _closed_profile(spec, f, len(profile) - 1)
+    h = _first_difference(profile, check, tol)
+    if h is not None:
+        raise ProfileMismatchError(
+            f"rebuilt spec disagrees with the input profile at order {h}: "
+            f"{check[h]!r} vs {profile[h]!r}"
+        )
+    residuals = [abs(a - b) for a, b in zip(profile, check)]
+    return ReconstructionResult(spec=spec, residuals=residuals)
 
 
 def reconstruct_starlike(
@@ -262,44 +305,10 @@ def reconstruct_starlike(
     n = vertex_count
     if n < 4:
         raise NoCandidateRootError(f"no starlike tree has {n} vertices")
-    if not profile:
-        raise BudgetMismatchError("profile is empty")
-    candidates = [
-        m
-        for m in range(3, n)
-        if _close(profile[0], _star_point_invariant(n, m, {}, 0, f), tol)
-    ]
-    if not candidates:
-        raise NoCandidateRootError(
-            f"no root degree in 3..{n - 1} matches the order-0 value {profile[0]!r}"
-        )
-    if len(candidates) > 1:
-        raise AmbiguousRootError(
-            f"root degrees {candidates} all match the order-0 value; "
-            "tighten the tolerance or use a steeper index"
-        )
-    m = candidates[0]
-
-    counts = _run_ladder(
-        profile,
-        f,
-        budget_len=n - 1,
-        budget_cnt=m,
-        lam=lambda L, h: _star_point_invariant(n, m, L, h, f),
-        mu=lambda h: mu_coefficient(f, h, m),
-        branch_tol=branch_tol,
+    candidates = {m: (1, n, m, {}) for m in range(3, n)}
+    return _reconstruct(
+        profile, f, candidates, "root degree", f"3..{n - 1}", tol, branch_tol
     )
-    spec = StarlikeSpec.from_counts(counts)
-
-    check = starlike_profile(spec, f, len(profile) - 1)
-    residuals = [abs(a - b) for a, b in zip(profile, check)]
-    for h, (a, b) in enumerate(zip(profile, check)):
-        if not _close(a, b, tol):
-            raise ProfileMismatchError(
-                f"rebuilt spec disagrees with the input profile at order {h}: "
-                f"{b!r} vs {a!r}"
-            )
-    return ReconstructionResult(spec=spec, residuals=residuals)
 
 
 def reconstruct_generalized(
@@ -316,57 +325,12 @@ def reconstruct_generalized(
     value then pins the clique size by integer scan, and the ladder runs on
     the tree part with the hub degree in every crossing class.
     """
-    n, r = vertex_count, max_degree
-    if not profile:
-        raise BudgetMismatchError("profile is empty")
-    candidates = []
-    for n1 in range(3, r - 1):
-        m = r + 1 - n1
-        n2 = n - n1 + 1
-        if m < 3 or n2 - 1 < m:
-            continue
-        if _close(profile[0], _coalesced_point_invariant(n1, n2, m, {}, 0, f), tol):
-            candidates.append(n1)
-    if not candidates:
-        raise NoCandidateRootError(
-            f"no clique size in 3..{r - 2} matches the order-0 value {profile[0]!r}"
-        )
-    if len(candidates) > 1:
-        raise AmbiguousRootError(
-            f"clique sizes {candidates} all match the order-0 value"
-        )
-    n1 = candidates[0]
-    m = r + 1 - n1
-    n2 = n - n1 + 1
-
-    counts = _run_ladder(
-        profile,
-        f,
-        budget_len=n2 - 1,
-        budget_cnt=m,
-        lam=lambda L, h: _coalesced_point_invariant(n1, n2, m, L, h, f),
-        mu=lambda h: mu_coefficient(f, h, m + n1 - 1),
-        branch_tol=branch_tol,
+    candidates = {
+        n1: (n1, n2, m, {}) for n1, n2, m in _hub_splits(vertex_count, max_degree)
+    }
+    return _reconstruct(
+        profile, f, candidates, "clique size", f"3..{max_degree - 2}", tol, branch_tol
     )
-    spec = GenStarlikeSpec(n1, StarlikeSpec.from_counts(counts))
-
-    check = generalized_profile(spec, f, len(profile) - 1)
-    residuals = [abs(a - b) for a, b in zip(profile, check)]
-    for h, (a, b) in enumerate(zip(profile, check)):
-        if not _close(a, b, tol):
-            raise ProfileMismatchError(
-                f"rebuilt spec disagrees with the input profile at order {h}: "
-                f"{b!r} vs {a!r}"
-            )
-    return ReconstructionResult(spec=spec, residuals=residuals)
-
-
-def _spec_profile(
-    spec: StarlikeSpec | GenStarlikeSpec, f: InvariantFunction, max_order: int
-) -> list[float]:
-    if isinstance(spec, GenStarlikeSpec):
-        return generalized_profile(spec, f, max_order)
-    return starlike_profile(spec, f, max_order)
 
 
 def distinguish(
@@ -393,12 +357,7 @@ def distinguish(
             f"maximum degrees differ: {a.max_degree} vs {b.max_degree}"
         )
     h_max = max(a.longest_path_length, b.longest_path_length)
-    va = _spec_profile(a, f, h_max)
-    vb = _spec_profile(b, f, h_max)
-    for h in range(h_max + 1):
-        if not _close(va[h], vb[h], tol):
-            return h
-    return None
+    return _first_difference(_closed_profile(a, f, h_max), _closed_profile(b, f, h_max), tol)
 
 
 def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -424,11 +383,7 @@ def starlike_specs(vertex_count: int) -> list[StarlikeSpec]:
 def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpec]:
     """Every coalesced spec with the given vertex count and hub degree."""
     specs = []
-    for n1 in range(3, max_degree - 1):
-        m = max_degree + 1 - n1
-        n2 = vertex_count - n1 + 1
-        if m < 3 or n2 - 1 < m:
-            continue
+    for n1, n2, m in _hub_splits(vertex_count, max_degree):
         for parts in _partitions(n2 - 1):
             if len(parts) == m:
                 specs.append(GenStarlikeSpec(n1, StarlikeSpec.from_counts(Counter(parts))))
@@ -490,16 +445,11 @@ def survey_distinguishability(
         )
 
     h_max = max((s.longest_path_length for s in specs), default=0)
-    profiles = [_spec_profile(s, f, h_max) for s in specs]
+    profiles = [_closed_profile(s, f, h_max) for s in specs]
     collisions = []
-    pairs = 0
     for i in range(len(specs)):
         for j in range(i + 1, len(specs)):
-            if isinstance(specs[i], GenStarlikeSpec) and specs[i].max_degree != specs[j].max_degree:
-                continue
-            pairs += 1
-            pa, pb = profiles[i], profiles[j]
-            if all(_close(pa[h], pb[h], tol) for h in range(h_max + 1)):
+            if _first_difference(profiles[i], profiles[j], tol) is None:
                 collisions.append((specs[i], specs[j]))
     return SurveyReport(
         family=family,
@@ -508,6 +458,6 @@ def survey_distinguishability(
         index=f.name,
         tolerance=tol,
         spec_count=len(specs),
-        pairs_checked=pairs,
+        pairs_checked=total_pairs,
         collisions=collisions,
     )

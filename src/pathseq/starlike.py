@@ -6,6 +6,10 @@ h >= 1 falls into one of a handful of shapes (endpoints at the root, at a
 leaf, or inside a branch; through the root or within a single branch), and
 each shape's degree sequence and multiplicity have closed forms in the
 branch-length counts. Censuses and invariants therefore need no enumeration.
+
+The closed forms here also cover the clique-coalesced family of
+generalized.py: a starlike tree is the clique-size-1 case, where every path
+through the clique has multiplicity zero.
 """
 
 from __future__ import annotations
@@ -14,12 +18,13 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import fsum
-from typing import Iterator, Mapping
+from itertools import accumulate
+from math import perm
+from typing import Callable, Iterator, Mapping
 
 from .errors import FormatError, InvalidSpecError
 from .graph import Census, Graph, build_graph, canonical_class
-from .invariants import InvariantFunction
+from .invariants import InvariantFunction, invariant_from_census
 
 
 @dataclass(frozen=True)
@@ -95,155 +100,190 @@ class StarlikeSpec:
         }
 
 
-def realize_starlike(spec: StarlikeSpec) -> Graph:
-    """Build the tree: root is vertex 0, branches attached in ascending length."""
-    edges = []
-    nxt = 1
-    for length, count in spec.branches:
+def _point(spec) -> tuple[int, int, int, Mapping[int, int]]:
+    """(n1, n2, m, L) of a spec: clique size, tree vertex count, branch count
+    and branch-length counts. A starlike tree is the clique-size-1 case."""
+    if isinstance(spec, StarlikeSpec):
+        return 1, spec.vertex_count, spec.root_degree, spec.branch_counts
+    star = spec.star
+    return spec.clique_size, star.vertex_count, star.root_degree, star.branch_counts
+
+
+def _realize(spec) -> Graph:
+    """Build either spec's graph: the hub is vertex 0, a clique fills
+    1..n1-1, and the branches follow in ascending length."""
+    n1, n2, _, L = _point(spec)
+    edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
+    nxt = n1
+    for length, count in L.items():
         for _ in range(count):
             prev = 0
             for _ in range(length):
                 edges.append((prev, nxt))
                 prev = nxt
                 nxt += 1
-    return build_graph(spec.vertex_count, edges)
+    return build_graph(n1 + n2 - 1, edges)
 
 
-def _census_terms(
-    h: int, m: int, L: Mapping[int, int], n: int, root_degree: int
+def _terms(
+    h: int, n1: int, n2: int, m: int, L: Mapping[int, int]
 ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (degree sequence, multiplicity) for every order-h path shape.
 
-    m is the number of branches, L their length counts, n the tree's vertex
-    count, root_degree the symbol written for the root (exceeds m when the
-    tree hangs off a clique). Multiplicities are polynomial in the counts and
-    may be negative when (n, m, L) is not realizable; callers that hold a
-    valid spec should assert them non-negative.
+    The point (n1, n2, m, L) is a clique on n1 vertices sharing its hub with
+    the root of a tree on n2 vertices whose m branches have length counts L.
+    The hub's degree is m + n1 - 1; at n1 = 1 (a starlike tree) every clique
+    and bridge count is perm(0, k) = 0. Multiplicities are polynomial in the
+    counts and may be negative when the point is not realizable; callers that
+    hold a valid spec should assert them non-negative. Each count is computed
+    before its sequence is built, and zero counts are not yielded.
     """
-    if h < 1:
-        raise ValueError("census terms are defined for h >= 1")
-    R = root_degree
+    if h < 0:
+        raise ValueError(f"order must be >= 0, got {h}")
+    R = m + n1 - 1
+    c = n1 - 1
+    if h == 0:
+        for seq, count in (((R,), 1), ((1,), m), ((2,), n2 - m - 1), ((c,), c)):
+            if count:
+                yield seq, count
+        return
 
-    def S(k: int) -> int:
-        # number of branches of length <= k
-        return sum(c for l, c in L.items() if l <= k)
+    # S[k]: number of branches of length <= k
+    S = list(accumulate(L.get(k, 0) for k in range(h + 1)))
+    longer = m - S[h]
 
     # Root endpoint: down one branch, ending at its leaf (branch length h
     # exactly) or strictly inside a longer branch.
-    yield (R,) + (2,) * (h - 1) + (1,), L.get(h, 0)
-    yield (R,) + (2,) * h, m - S(h)
+    if L.get(h, 0):
+        yield (R,) + (2,) * (h - 1) + (1,), L[h]
+    if longer:
+        yield (R,) + (2,) * h, longer
+        # the same branches, root not visited, ending at the branch leaf
+        yield (1,) + (2,) * h, longer
 
-    # Inside a single branch, root not visited: either strictly interior or
-    # ending at the branch leaf. Interior segments: each branch of length
-    # l > h contributes l - h starting offsets minus the one leaf-ended one.
-    interior = (n - 1) - sum(l * c for l, c in L.items() if l <= h) - (h + 1) * (m - S(h))
-    yield (2,) * (h + 1), interior
-    yield (1,) + (2,) * h, m - S(h)
+    # Strictly inside a single branch: each branch of length l > h
+    # contributes l - h starting offsets minus the one leaf-ended one.
+    interior = (n2 - 1) - sum(k * L.get(k, 0) for k in range(1, h + 1)) - (h + 1) * longer
+    if interior:
+        yield (2,) * (h + 1), interior
 
     # Through the root, one leaf endpoint at distance a+1, the other end
     # inside a second branch. The second branch needs length >= h-a; when the
     # leaf branch itself is that long it must be excluded.
     for a in range(0, h - 1):
-        avail = m - S(h - a - 1)
-        if a >= h // 2:
-            avail -= 1
-        yield (1,) + (2,) * a + (R,) + (2,) * (h - 1 - a), L.get(a + 1, 0) * avail
+        leaves = L.get(a + 1, 0)
+        avail = m - S[h - a - 1] - (1 if a >= h // 2 else 0)
+        if leaves and avail:
+            yield (1,) + (2,) * a + (R,) + (2,) * (h - 1 - a), leaves * avail
 
     # Through the root, both endpoints leaves: branch lengths a+1 and h-a-1.
     for a in range(0, h // 2):
         la, lb = a + 1, h - a - 1
         if la == lb:
-            c = L.get(la, 0)
-            count = c * (c - 1) // 2
+            c_la = L.get(la, 0)
+            count = c_la * (c_la - 1) // 2
         else:
             count = L.get(la, 0) * L.get(lb, 0)
-        yield (1,) + (2,) * a + (R,) + (2,) * (h - 2 - a) + (1,), count
+        if count:
+            yield (1,) + (2,) * a + (R,) + (2,) * (h - 2 - a) + (1,), count
 
     # Through the root, both endpoints strictly inside branches of lengths
     # > a and > h-a. Product of consecutive integers, so the halved midpoint
     # case stays integral.
     for a in range(1, h // 2 + 1):
         if a == h - a:
-            count = (m - S(a)) * (m - 1 - S(a)) // 2
+            count = (m - S[a]) * (m - 1 - S[a]) // 2
         else:
-            count = (m - S(h - a)) * (m - 1 - S(a))
-        yield (2,) * a + (R,) + (2,) * (h - a), count
+            count = (m - S[h - a]) * (m - 1 - S[a])
+        if count:
+            yield (2,) * a + (R,) + (2,) * (h - a), count
+
+    # Inside the clique: ordered choices of the c non-hub vertices, with the
+    # hub at one end, nowhere (halved for orientation), or inside at distance
+    # a from the nearer end (halved at the midpoint). Every split a has the
+    # same perm(c, h) ordered choices.
+    through_hub = perm(c, h)
+    if through_hub:
+        yield (R,) + (c,) * h, through_hub
+        for a in range(1, h // 2 + 1):
+            count = through_hub // 2 if a == h - a else through_hub
+            yield (c,) * a + (R,) + (c,) * (h - a), count
+    no_hub = perm(c, h + 1) // 2
+    if no_hub:
+        yield (c,) * (h + 1), no_hub
+
+    # Bridges: a clique vertices on one side of the hub, and a tree side that
+    # ends strictly inside a branch longer than h-a or at the leaf of a
+    # length-(h-a) branch. perm(c, a) vanishes for a >= n1.
+    for a in range(1, min(h, n1)):
+        ordered = perm(c, a)
+        count = ordered * (m - S[h - a])
+        if count:
+            yield (c,) * a + (R,) + (2,) * (h - a), count
+        count = ordered * L.get(h - a, 0)
+        if count:
+            yield (c,) * a + (R,) + (2,) * (h - a - 1) + (1,), count
 
 
 def merge_terms(
     terms: Iterator[tuple[tuple[int, ...], int]], order: int
 ) -> Census:
-    """Canonicalize, merge and validate a stream of class terms."""
+    """Canonicalize and merge a stream of class terms.
+
+    Shapes that share a degree sequence (a 3-clique's outer vertices look
+    like branch-interior vertices) become one class, so an invariant summed
+    over the census makes one f call per class, as enumeration does.
+    """
     merged: dict[tuple[int, ...], int] = defaultdict(int)
     for seq, count in terms:
-        if count == 0:
-            continue
-        if count < 0:
-            raise AssertionError(
-                f"negative multiplicity {count} for class {seq}; census formula inconsistency"
-            )
         merged[canonical_class(seq)] += count
     return Census(order=order, entries=dict(merged))
 
 
-def starlike_census(spec: StarlikeSpec, order: int) -> Census:
-    """Closed-form census for order >= 2.
+def _evaluate(
+    point: tuple[int, int, int, Mapping[int, int]], h: int, f: InvariantFunction
+) -> float:
+    """Order-h invariant at a parameter point (n1, n2, m, L).
 
-    For orders 0 and 1 use path_census on realize_starlike; the closed form
-    starts where paths can straddle the root with room on both sides.
+    Reconstruction evaluates points with missing branches, where some
+    multiplicities go negative; no validation on purpose.
     """
+    return invariant_from_census(merge_terms(_terms(h, *point), h), f)
+
+
+def _closed_census(spec, order: int) -> Census:
+    """Closed-form census of either spec at any order >= 0."""
+    census = merge_terms(_terms(order, *_point(spec)), order)
+    for seq, count in census.entries.items():
+        if count < 0:
+            raise AssertionError(
+                f"negative multiplicity {count} for class {seq}; census formula inconsistency"
+            )
+    return census
+
+
+def _closed_invariant(spec, order: int, f: InvariantFunction) -> float:
+    """Order-h invariant of either spec, without enumeration."""
+    return _evaluate(_point(spec), order, f)
+
+
+def _closed_profile(spec, f: InvariantFunction, max_order: int) -> list[float]:
+    """Closed-form invariant values of either spec for orders 0..max_order."""
+    point = _point(spec)
+    return [_evaluate(point, h, f) for h in range(max_order + 1)]
+
+
+def starlike_census(spec, order: int) -> Census:
+    """Closed-form census of either spec for order >= 2."""
     if order < 2:
         raise ValueError("closed-form census requires order >= 2")
-    m = spec.root_degree
-    return merge_terms(
-        _census_terms(order, m, spec.branch_counts, spec.vertex_count, m), order
-    )
+    return _closed_census(spec, order)
 
 
-def _formal_invariant(
-    n: int, m: int, L: Mapping[int, int], h: int, f: InvariantFunction
-) -> float:
-    """Invariant of the (possibly unrealizable) parameter point (n, m, L).
-
-    The order-h invariant is a polynomial in (n, m, L_1..L_h); reconstruction
-    evaluates it at points with missing branches, where some multiplicities
-    go negative. No validation on purpose.
-    """
-    if h == 0:
-        return fsum([f((m,)), m * f((1,)), (n - m - 1) * f((2,))])
-    return fsum(
-        count * f(seq)
-        for seq, count in _census_terms(h, m, L, n, m)
-        if count != 0
-    )
-
-
-def starlike_invariant(spec: StarlikeSpec, order: int, f: InvariantFunction) -> float:
-    """Order-h invariant of the starlike tree, without enumeration."""
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
-    n, m = spec.vertex_count, spec.root_degree
-    if order == 0:
-        return fsum([f((m,)), m * f((1,)), (n - m - 1) * f((2,))])
-    if order == 1:
-        L1 = spec.count(1)
-        return fsum(
-            [
-                L1 * f((m, 1)),
-                (m - L1) * f((m, 2)),
-                (m - L1) * f((1, 2)),
-                (n - 1 - 2 * m + L1) * f((2, 2)),
-            ]
-        )
-    census = starlike_census(spec, order)
-    return fsum(count * f(seq) for seq, count in census.entries.items())
-
-
-def starlike_profile(
-    spec: StarlikeSpec, f: InvariantFunction, max_order: int
-) -> list[float]:
-    """Closed-form invariant values for orders 0..max_order."""
-    return [starlike_invariant(spec, h, f) for h in range(max_order + 1)]
+# Public names of both families; each accepts either spec.
+realize_starlike = _realize
+starlike_invariant = _closed_invariant
+starlike_profile = _closed_profile
 
 
 def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
@@ -296,12 +336,7 @@ def tail_coefficients(
     interior = f((2,) * (h + 1))
     leaf_interior = f((1,) + (2,) * h)
 
-    c_h = (
-        f((m,) + (2,) * (h - 1) + (1,))
-        - root_interior
-        + interior
-        - leaf_interior
-    )
+    c_h = mu_coefficient(f, h, m)
     c_h1 = (
         2 * interior
         - root_interior
@@ -344,10 +379,15 @@ def parse_starlike_spec(doc: object) -> StarlikeSpec:
     return StarlikeSpec.from_counts(counts)
 
 
-def load_starlike_spec(path: str) -> StarlikeSpec:
+def _load_json(path: str, parse: Callable[[object], object]):
+    """Read a JSON spec file and hand the document to a family's parser."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"invalid JSON in {path}: {exc}") from None
-    return parse_starlike_spec(doc)
+    return parse(doc)
+
+
+def load_starlike_spec(path: str) -> StarlikeSpec:
+    return _load_json(path, parse_starlike_spec)

@@ -160,3 +160,9 @@ def test_random_tree_census_matches_oracle(tree):
     for order in range(n):
         assert dict(series[order].entries) == oracle_census(n, edges, order)
     assert longest_path_length(g) == oracle_longest_path(n, edges)
+
+
+def test_tree_longest_path_needs_no_budget():
+    # two breadth-first passes, no path enumeration
+    spider = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+    assert longest_path_length(spider, budget=1) == 4
