@@ -34,6 +34,7 @@ from .invariants import (
     validate_symmetry,
 )
 from .reconstruct import (
+    _first_difference,
     check_generalized_conditions,
     check_starlike_conditions,
     distinguish,
@@ -139,14 +140,13 @@ def _cmd_verify(args) -> dict:
     closed = _closed_profile(obj, f, h_max)
     abs_diffs = [abs(a - b) for a, b in zip(brute, closed)]
     rel_diffs = [d / max(1.0, abs(a), abs(b)) for d, a, b in zip(abs_diffs, brute, closed)]
-    ok = all(d <= args.tol for d in rel_diffs)
     return {
         "index": f.name,
         "h_max": h_max,
         "longest_path_length": rho,
         "max_abs_diff": max(abs_diffs),
         "max_rel_diff": max(rel_diffs),
-        "status": "ok" if ok else "mismatch",
+        "status": "ok" if _first_difference(brute, closed, args.tol) is None else "mismatch",
     }
 
 
@@ -250,6 +250,20 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
+def _order(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
+    return value
+
+
+def _tol(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < 1:
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathseq",
@@ -259,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p, index_required=True):
         p.add_argument("--index", required=index_required, help="index function, e.g. connectivity or power:0.5")
-        p.add_argument("--tol", type=float, default=1e-9)
+        p.add_argument("--tol", type=_tol, default=1e-9)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
         p.add_argument("--seed", type=int, default=None, help="seed for randomized symmetry validation")
@@ -273,25 +287,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariant", help="one invariant value")
     inputs(p)
     common(p)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.set_defaults(handler=_cmd_invariant)
 
     p = sub.add_parser("profile", help="invariant values for all orders")
     inputs(p)
     common(p)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_order, default=None)
     p.set_defaults(handler=_cmd_profile)
 
     p = sub.add_parser("census", help="degree-sequence census at one order")
     inputs(p)
     common(p, index_required=False)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_order, required=True)
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("verify", help="closed form against enumeration")
     inputs(p)
     common(p)
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", type=_order, default=None)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("reconstruct", help="rebuild a spec from its profile")

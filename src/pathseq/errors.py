@@ -45,6 +45,10 @@ class SymmetryError(PathseqError):
     """A candidate index function failed the symmetry check."""
 
 
+class IndexEvaluationError(PathseqError):
+    """An index function raised an arithmetic error (overflow, division by zero)."""
+
+
 class FamilyMismatchError(PathseqError):
     """Two specs from different families were compared."""
 

@@ -219,11 +219,6 @@ def enumerate_paths(
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    n = graph.vertex_count
-    if order == 0:
-        for v in range(n):
-            yield (v,)
-        return
     for trail in _walk(graph, order, budget):
         if len(trail) > order:
             yield tuple(trail)

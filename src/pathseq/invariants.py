@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .errors import SymmetryError, UnknownIndexError
+from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError
 from .graph import DEFAULT_BUDGET, Census, Graph, census_series, path_census
 
 
@@ -133,8 +133,12 @@ def resolve_index(text: str) -> InvariantFunction:
 
 
 def invariant_from_census(census: Census, f: InvariantFunction) -> float:
-    """Sum f over a census, weighted by multiplicity."""
-    return math.fsum(count * f(seq) for seq, count in census.entries.items())
+    """Sum f over a census, weighted by multiplicity; arithmetic failures
+    (overflow, division by zero) become IndexEvaluationError."""
+    try:
+        return math.fsum(count * f(seq) for seq, count in census.entries.items())
+    except ArithmeticError as exc:
+        raise IndexEvaluationError(f"index {f.name!r} at order {census.order}: {exc}") from exc
 
 
 def evaluate_invariant(

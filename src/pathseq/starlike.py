@@ -320,39 +320,10 @@ def tail_coefficients(
         raise ValueError(f"tail coefficients are exposed for h >= 5, got {h}")
     if m < 3:
         raise ValueError(f"root degree must be >= 3, got {m}")
-    L1, L2 = count_len1, count_len2
-
-    def leaf_cross(a: int) -> tuple[int, ...]:
-        # leaf endpoint at distance a+1, other end inside a branch
-        return (1,) + (2,) * a + (m,) + (2,) * (h - 1 - a)
-
-    def leaf_leaf(a: int) -> tuple[int, ...]:
-        return (1,) + (2,) * a + (m,) + (2,) * (h - 2 - a) + (1,)
-
-    def inner_cross(a: int) -> tuple[int, ...]:
-        return (2,) * a + (m,) + (2,) * (h - a)
-
-    root_interior = f((m,) + (2,) * h)
-    interior = f((2,) * (h + 1))
-    leaf_interior = f((1,) + (2,) * h)
-
-    c_h = mu_coefficient(f, h, m)
-    c_h1 = (
-        2 * interior
-        - root_interior
-        - leaf_interior
-        + L1 * (f(leaf_leaf(0)) - f(leaf_cross(0)) + f(inner_cross(1)) - f(leaf_cross(h - 2)))
-        + (m - 1) * (f(leaf_cross(h - 2)) - f(inner_cross(1)))
-    )
-    c_h2 = (
-        3 * interior
-        - root_interior
-        - leaf_interior
-        + L1 * (f(inner_cross(1)) - f(leaf_cross(0)) + f(inner_cross(2)) - f(leaf_cross(h - 3)))
-        + L2 * (f(leaf_leaf(1)) - f(leaf_cross(1)) + f(inner_cross(2)) - f(leaf_cross(h - 3)))
-        + (m - 1) * (f(leaf_cross(h - 3)) - f(inner_cross(1)) - f(inner_cross(2)))
-    )
-    return (c_h2, c_h1, c_h)
+    # n2 enters only the interior count, and cancels in the difference
+    base = {1: count_len1, 2: count_len2}
+    zero = _evaluate((1, 0, m, base), h, f)
+    return tuple(_evaluate((1, 0, m, {**base, k: 1}), h, f) - zero for k in (h - 2, h - 1, h))
 
 
 def parse_starlike_spec(doc: object) -> StarlikeSpec:

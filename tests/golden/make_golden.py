@@ -86,6 +86,7 @@ CASES = [
     ("check-conditions-7-path-count", ("check-conditions", "--theorem", "7", "--index", "path-count"), 0),
     ("check-conditions-8", ("check-conditions", "--theorem", "8", "--index", "hyper-zagreb"), 0),
     ("survey-starlike", ("survey", "--family", "starlike", "--size", "10", "--index", "connectivity"), 0),
+    ("survey-starlike-22", ("survey", "--family", "starlike", "--size", "22", "--index", "connectivity"), 0),
     ("survey-generalized", ("survey", "--family", "generalized", "--size", "10", "--max-degree", "6",
                             "--index", "connectivity"), 0),
     ("output-profile-k5", ("profile", *K5, "--index", "connectivity", "--output", "@report.json"), 0),

@@ -290,3 +290,34 @@ def test_console_script_is_installed():
     proc = subprocess.run(["pathseq", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "invariant" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("census", "--starlike", "@spider", "--order", "-1"),
+        ("census", "--graph", "@star", "--order", "-1"),
+        ("invariant", "--starlike", "@spider", "--index", "connectivity", "--order", "-1"),
+        ("invariant", "--graph", "@star", "--index", "connectivity", "--order", "-1"),
+        ("profile", "--starlike", "@spider", "--index", "connectivity", "--max-order", "-1"),
+        ("verify", "--starlike", "@spider", "--index", "connectivity", "--max-order", "-1"),
+        ("survey", "--size", "8", "--index", "connectivity", "--tol", "1"),
+        ("survey", "--size", "8", "--index", "connectivity", "--tol", "-0.5"),
+        ("reconstruct", "--starlike", "@spider", "--index", "connectivity", "--tol", "2"),
+        ("verify", "--starlike", "@spider", "--index", "connectivity", "--tol", "nan"),
+    ],
+)
+def test_bad_numeric_flags_are_usage_errors(capsys, spider_file, star_file, argv):
+    files = {"@spider": spider_file, "@star": star_file}
+    with pytest.raises(SystemExit) as exc:
+        main([files.get(a, a) for a in argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_index_overflow_maps_to_error_object(capsys, spider_file):
+    code, out = run(
+        capsys, "invariant", "--starlike", spider_file, "--index", "power:2000", "--order", "0"
+    )
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "IndexEvaluation"

@@ -166,3 +166,10 @@ def test_tree_longest_path_needs_no_budget():
     # two breadth-first passes, no path enumeration
     spider = build_graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
     assert longest_path_length(spider, budget=1) == 4
+
+
+def test_enumerate_paths_order_zero_charges_budget(path5):
+    # one node expansion per vertex, as path_census(g, 0, budget) charges
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_paths(path5, 0, budget=4))
+    assert len(list(enumerate_paths(path5, 0, budget=5))) == 5

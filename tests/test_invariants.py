@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from oracle import close, graph_edges, oracle_invariant
 from pathseq import (
     Census,
+    IndexEvaluationError,
     InvariantFunction,
+    PathseqError,
     SymmetryError,
     UnknownIndexError,
     builtin,
@@ -120,3 +122,12 @@ def test_order_zero_path_graph():
 def test_builtins_are_reversal_symmetric(name, seq):
     f = builtin(name)
     assert f(tuple(seq)) == f(tuple(reversed(seq)))
+
+
+def test_arithmetic_failure_in_index_is_a_pathseq_error():
+    census = Census(order=1, entries={(1, 2): 3, (2, 2): 2})
+    f = InvariantFunction("bad", lambda d: 1.0 / (max(d) - 2))
+    with pytest.raises(IndexEvaluationError) as exc:
+        invariant_from_census(census, f)
+    assert isinstance(exc.value, PathseqError)
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)

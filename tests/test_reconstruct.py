@@ -3,7 +3,6 @@ import pytest
 from oracle import close
 from pathseq import (
     AmbiguousRootError,
-    BudgetExceededError,
     BudgetMismatchError,
     FamilyMismatchError,
     GenStarlikeSpec,
@@ -259,8 +258,3 @@ def test_survey_generalized_family():
     assert report.spec_count == 6
     assert report.pairs_checked == 15
     assert report.collisions == []
-
-
-def test_survey_respects_pair_cap():
-    with pytest.raises(BudgetExceededError):
-        survey_distinguishability(12, CONN, max_pairs=10)
