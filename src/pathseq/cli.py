@@ -34,6 +34,7 @@ from .invariants import (
     validate_symmetry,
 )
 from .reconstruct import (
+    DEFAULT_TOL,
     _first_difference,
     check_generalized_conditions,
     check_starlike_conditions,
@@ -197,8 +198,8 @@ def _cmd_check_conditions(args) -> dict:
 
 def _cmd_survey(args) -> dict:
     f = _index(args)
-    if args.family == "generalized" and args.max_degree is None:
-        raise UsageError("generalized survey needs --max-degree")
+    if (args.family == "generalized") != (args.max_degree is not None):
+        raise UsageError("--max-degree goes with --family generalized, and only with it")
     report = survey_distinguishability(
         args.size, f, family=args.family, max_degree=args.max_degree, tol=args.tol
     )
@@ -250,11 +251,17 @@ def _emit(doc: dict, args) -> None:
         sys.stdout.write(text)
 
 
-def _order(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text}")
-    return value
+def _at_least(low: int):
+    """Parse-time type for an integer flag that must be >= low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
 
 
 def _tol(text: str) -> float:
@@ -264,74 +271,62 @@ def _tol(text: str) -> float:
     return value
 
 
+# Every flag once, with its parse-time type and range.
+_FLAGS = {
+    "graph": {"action": "append", "help": "edge-list file"},
+    "starlike": {"action": "append", "help": "starlike spec JSON file"},
+    "generalized": {"action": "append", "help": "coalesced spec JSON file"},
+    "index": {"required": True, "help": "index function, e.g. connectivity or power:0.5"},
+    "tol": {"type": _tol, "default": DEFAULT_TOL},
+    "budget": {"type": _at_least(1), "default": DEFAULT_BUDGET},
+    "seed": {"type": int, "default": None, "help": "seed for randomized symmetry validation"},
+    "order": {"type": _at_least(0), "required": True},
+    "max-order": {"type": _at_least(0), "default": None},
+    "theorem": {"type": int, "choices": (7, 8), "required": True},
+    # condition (a) scans pairs 3 <= x < y <= x_max: 4 is the least domain with one
+    "x-max": {"type": _at_least(4), "default": 64},
+    "t-max": {"type": _at_least(0), "default": 32},
+    "family": {"choices": ("starlike", "generalized"), "default": "starlike"},
+    "size": {"type": _at_least(1), "required": True, "help": "vertex count n"},
+    "max-degree": {"type": _at_least(1), "default": None, "help": "hub degree r (generalized)"},
+    "format": {"choices": ("json", "csv"), "default": "json"},
+    "output": {"default": None, "help": "write the report atomically to this file"},
+}
+
+_INPUTS = ("graph", "starlike", "generalized")
+
+# Each command takes the flags its handler reads, plus --format and --output.
+_COMMANDS = (
+    ("invariant", "one invariant value", _cmd_invariant,
+     (*_INPUTS, "index", "budget", "seed", "order")),
+    ("profile", "invariant values for all orders", _cmd_profile,
+     (*_INPUTS, "index", "budget", "seed", "max-order")),
+    ("census", "degree-sequence census at one order", _cmd_census,
+     (*_INPUTS, "budget", "order")),
+    ("verify", "closed form against enumeration", _cmd_verify,
+     (*_INPUTS, "index", "tol", "budget", "seed", "max-order")),
+    ("reconstruct", "rebuild a spec from its profile", _cmd_reconstruct,
+     (*_INPUTS, "index", "tol", "budget", "seed")),
+    ("distinguish", "first order separating two specs", _cmd_distinguish,
+     (*_INPUTS, "index", "tol", "seed")),
+    ("check-conditions", "scan index qualification inequalities", _cmd_check_conditions,
+     ("theorem", "index", "tol", "seed", "x-max", "t-max")),
+    ("survey", "all-pairs distinguishability in a family", _cmd_survey,
+     ("family", "size", "max-degree", "index", "tol", "seed")),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pathseq",
         description="Path degree-sequence censuses, closed-form invariants and reconstruction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, index_required=True):
-        p.add_argument("--index", required=index_required, help="index function, e.g. connectivity or power:0.5")
-        p.add_argument("--tol", type=_tol, default=1e-9)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-        p.add_argument("--seed", type=int, default=None, help="seed for randomized symmetry validation")
-        p.add_argument("--output", default=None, help="write the report atomically to this file")
-
-    def inputs(p):
-        p.add_argument("--graph", action="append", help="edge-list file")
-        p.add_argument("--starlike", action="append", help="starlike spec JSON file")
-        p.add_argument("--generalized", action="append", help="coalesced spec JSON file")
-
-    p = sub.add_parser("invariant", help="one invariant value")
-    inputs(p)
-    common(p)
-    p.add_argument("--order", type=_order, required=True)
-    p.set_defaults(handler=_cmd_invariant)
-
-    p = sub.add_parser("profile", help="invariant values for all orders")
-    inputs(p)
-    common(p)
-    p.add_argument("--max-order", type=_order, default=None)
-    p.set_defaults(handler=_cmd_profile)
-
-    p = sub.add_parser("census", help="degree-sequence census at one order")
-    inputs(p)
-    common(p, index_required=False)
-    p.add_argument("--order", type=_order, required=True)
-    p.set_defaults(handler=_cmd_census)
-
-    p = sub.add_parser("verify", help="closed form against enumeration")
-    inputs(p)
-    common(p)
-    p.add_argument("--max-order", type=_order, default=None)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("reconstruct", help="rebuild a spec from its profile")
-    inputs(p)
-    common(p)
-    p.set_defaults(handler=_cmd_reconstruct)
-
-    p = sub.add_parser("distinguish", help="first order separating two specs")
-    inputs(p)
-    common(p)
-    p.set_defaults(handler=_cmd_distinguish)
-
-    p = sub.add_parser("check-conditions", help="scan index qualification inequalities")
-    common(p)
-    p.add_argument("--theorem", type=int, choices=(7, 8), required=True)
-    p.add_argument("--x-max", type=int, default=64)
-    p.add_argument("--t-max", type=int, default=32)
-    p.set_defaults(handler=_cmd_check_conditions)
-
-    p = sub.add_parser("survey", help="all-pairs distinguishability in a family")
-    common(p)
-    p.add_argument("--family", choices=("starlike", "generalized"), default="starlike")
-    p.add_argument("--size", type=int, required=True, help="vertex count n")
-    p.add_argument("--max-degree", type=int, default=None, help="hub degree r (generalized)")
-    p.set_defaults(handler=_cmd_survey)
-
+    for name, help_text, handler, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in (*flags, "format", "output"):
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        p.set_defaults(handler=handler)
     return parser
 
 

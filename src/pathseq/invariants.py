@@ -25,7 +25,13 @@ class InvariantFunction:
     fn: Callable[[tuple[int, ...]], float]
 
     def __call__(self, degrees: Sequence[int]) -> float:
-        return self.fn(tuple(degrees))
+        """f at one degree sequence; an arithmetic failure becomes IndexEvaluationError."""
+        seq = tuple(degrees)
+        try:
+            return self.fn(seq)
+        except ArithmeticError as exc:
+            message = f"index {self.name!r} at order {len(seq) - 1}: {exc}"
+            raise IndexEvaluationError(message) from exc
 
 
 def _connectivity(d: tuple[int, ...]) -> float:
@@ -79,40 +85,35 @@ def builtin(name: str, param: float | None = None) -> InvariantFunction:
 
 _registry: dict[str, InvariantFunction] = {}
 
+# validate_symmetry draws this many sequences of 1..SYMMETRY_MAX_LENGTH
+# degrees in 1..64, and compares f at each and its reversal to SYMMETRY_REL_TOL.
+SYMMETRY_TRIALS = 1000
+SYMMETRY_MAX_LENGTH = 9
+SYMMETRY_REL_TOL = 1e-12
 
-def validate_symmetry(
-    fn: Callable[[tuple[int, ...]], float],
-    rng: random.Random,
-    trials: int = 1000,
-    max_length: int = 9,
-    rel_tol: float = 1e-12,
-) -> None:
+
+def validate_symmetry(fn: Callable[[tuple[int, ...]], float], rng: random.Random) -> None:
     """Spot-check reversal symmetry on random degree sequences.
 
     Raises SymmetryError on the first violating sequence.
     """
-    for _ in range(trials):
-        length = rng.randint(1, max_length)
+    for _ in range(SYMMETRY_TRIALS):
+        length = rng.randint(1, SYMMETRY_MAX_LENGTH)
         seq = tuple(rng.randint(1, 64) for _ in range(length))
         a = fn(seq)
         b = fn(seq[::-1])
-        if abs(a - b) > rel_tol * max(1.0, abs(a), abs(b)):
+        if abs(a - b) > SYMMETRY_REL_TOL * max(1.0, abs(a), abs(b)):
             raise SymmetryError(
                 f"f{seq} = {a!r} but f{seq[::-1]} = {b!r}; index functions must be"
                 " symmetric under reversal"
             )
 
 
-def register_invariant(
-    name: str,
-    fn: Callable[[tuple[int, ...]], float],
-    rng: random.Random | None = None,
-    trials: int = 1000,
-) -> InvariantFunction:
-    """Register a user-supplied index function after a symmetry check."""
+def register_invariant(name: str, fn: Callable[[tuple[int, ...]], float]) -> InvariantFunction:
+    """Register a user-supplied index function after a seeded symmetry check."""
     if name in _SIMPLE_BUILTINS or name == "power":
         raise ValueError(f"{name!r} is reserved for a built-in index")
-    validate_symmetry(fn, rng if rng is not None else random.Random(0), trials)
+    validate_symmetry(fn, random.Random(0))
     f = InvariantFunction(name, fn)
     _registry[name] = f
     return f
@@ -133,8 +134,9 @@ def resolve_index(text: str) -> InvariantFunction:
 
 
 def invariant_from_census(census: Census, f: InvariantFunction) -> float:
-    """Sum f over a census, weighted by multiplicity; arithmetic failures
-    (overflow, division by zero) become IndexEvaluationError."""
+    """Sum f over a census, weighted by multiplicity. f maps its own
+    arithmetic failures; an overflow in the weighted sum becomes
+    IndexEvaluationError here."""
     try:
         return math.fsum(count * f(seq) for seq, count in census.entries.items())
     except ArithmeticError as exc:

@@ -29,6 +29,7 @@ from .invariants import InvariantFunction
 from .starlike import StarlikeSpec, _closed_profile, _evaluate, mu_coefficient
 
 DEFAULT_TOL = 1e-9
+# how far a recovered branch count may sit from an integer
 BRANCH_RESIDUAL_TOL = 1e-6
 # The survey sorts specs by their value at this order. On starlike n=21
 # (616 specs) with connectivity, orders 0/1/2/3/4/6 leave 18,924/4,234/
@@ -182,7 +183,6 @@ def _run_ladder(
     profile: list[float],
     f: InvariantFunction,
     point: tuple[int, int, int, dict],
-    branch_tol: float,
 ) -> dict[int, int]:
     """Recover branch counts order by order until the length budget is spent.
 
@@ -210,10 +210,10 @@ def _run_ladder(
             )
         raw = (profile[h] - _evaluate((n1, n2, m, counts), h, f)) / slope
         k = round(raw)
-        if abs(raw - k) > branch_tol:
+        if abs(raw - k) > BRANCH_RESIDUAL_TOL:
             raise NonIntegerBranchCountError(
                 f"count of length-{h} branches came out {raw!r}, "
-                f"not within {branch_tol} of an integer"
+                f"not within {BRANCH_RESIDUAL_TOL} of an integer"
             )
         if k < 0:
             raise NonIntegerBranchCountError(
@@ -253,7 +253,6 @@ def _reconstruct(
     noun: str,
     span: str,
     tol: float,
-    branch_tol: float,
 ) -> ReconstructionResult:
     """Pick the one candidate point (n1, n2, m, {}) whose order-0 value
     matches, run the ladder on its branches and replay the rebuilt spec.
@@ -278,7 +277,7 @@ def _reconstruct(
             "tighten the tolerance or use a steeper index"
         )
     point = candidates[matches[0]]
-    star = StarlikeSpec.from_counts(_run_ladder(profile, f, point, branch_tol))
+    star = StarlikeSpec.from_counts(_run_ladder(profile, f, point))
     spec = star if point[0] == 1 else GenStarlikeSpec(point[0], star)
 
     check = _closed_profile(spec, f, len(profile) - 1)
@@ -297,7 +296,6 @@ def reconstruct_starlike(
     profile: list[float],
     f: InvariantFunction,
     tol: float = DEFAULT_TOL,
-    branch_tol: float = BRANCH_RESIDUAL_TOL,
 ) -> ReconstructionResult:
     """Rebuild a starlike spec from its invariant profile.
 
@@ -309,9 +307,7 @@ def reconstruct_starlike(
     if n < 4:
         raise NoCandidateRootError(f"no starlike tree has {n} vertices")
     candidates = {m: (1, n, m, {}) for m in range(3, n)}
-    return _reconstruct(
-        profile, f, candidates, "root degree", f"3..{n - 1}", tol, branch_tol
-    )
+    return _reconstruct(profile, f, candidates, "root degree", f"3..{n - 1}", tol)
 
 
 def reconstruct_generalized(
@@ -320,7 +316,6 @@ def reconstruct_generalized(
     profile: list[float],
     f: InvariantFunction,
     tol: float = DEFAULT_TOL,
-    branch_tol: float = BRANCH_RESIDUAL_TOL,
 ) -> ReconstructionResult:
     """Rebuild a clique-coalesced spec from (n, max degree, profile).
 
@@ -331,9 +326,7 @@ def reconstruct_generalized(
     candidates = {
         n1: (n1, n2, m, {}) for n1, n2, m in _hub_splits(vertex_count, max_degree)
     }
-    return _reconstruct(
-        profile, f, candidates, "clique size", f"3..{max_degree - 2}", tol, branch_tol
-    )
+    return _reconstruct(profile, f, candidates, "clique size", f"3..{max_degree - 2}", tol)
 
 
 def distinguish(

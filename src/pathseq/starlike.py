@@ -252,7 +252,10 @@ def _evaluate(
 
 
 def _closed_census(spec, order: int) -> Census:
-    """Closed-form census of either spec at any order >= 0."""
+    """Closed-form census of either spec at any order >= 0; past the
+    longest path it is empty, and no term is built."""
+    if order > spec.longest_path_length:
+        return Census(order=order, entries={})
     census = merge_terms(_terms(order, *_point(spec)), order)
     for seq, count in census.entries.items():
         if count < 0:
@@ -264,13 +267,17 @@ def _closed_census(spec, order: int) -> Census:
 
 def _closed_invariant(spec, order: int, f: InvariantFunction) -> float:
     """Order-h invariant of either spec, without enumeration."""
+    if order > spec.longest_path_length:
+        return 0.0
     return _evaluate(_point(spec), order, f)
 
 
 def _closed_profile(spec, f: InvariantFunction, max_order: int) -> list[float]:
-    """Closed-form invariant values of either spec for orders 0..max_order."""
-    point = _point(spec)
-    return [_evaluate(point, h, f) for h in range(max_order + 1)]
+    """Closed-form invariant values of either spec for orders 0..max_order;
+    orders past the longest path are 0.0 without evaluation."""
+    point, rho = _point(spec), spec.longest_path_length
+    values = [_evaluate(point, h, f) for h in range(min(max_order, rho) + 1)]
+    return values + [0.0] * (max_order - rho)
 
 
 def starlike_census(spec, order: int) -> Census:

@@ -5,7 +5,6 @@ narrower unit tests explain failures in more detail.
 
 import json
 import math
-import os
 import time
 
 from conftest import generalized_sweep, starlike_sweep
@@ -34,8 +33,6 @@ from pathseq import (
     survey_distinguishability,
     tail_coefficients,
 )
-
-ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
 
 def report(number, name, ok):
@@ -169,7 +166,7 @@ def test_criterion_6_profile_round_trip():
     assert elapsed < 120, elapsed
 
 
-def test_criterion_7_connectivity_survey_injective():
+def test_criterion_7_connectivity_survey_injective(tmp_path_factory):
     f = builtin("connectivity")
     failures = []
     constant_collisions = {}
@@ -183,8 +180,7 @@ def test_criterion_7_connectivity_survey_injective():
         constant_collisions[str(n)] = [
             {"a": a.to_dict(), "b": b.to_dict()} for a, b in constant.collisions
         ]
-    os.makedirs(ARTIFACT_DIR, exist_ok=True)
-    artifact = os.path.join(ARTIFACT_DIR, "constant_index_collisions.json")
+    artifact = tmp_path_factory.mktemp("artifacts") / "constant_index_collisions.json"
     with open(artifact, "w", encoding="utf-8") as fh:
         json.dump(constant_collisions, fh, indent=2)
         fh.write("\n")

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -6,7 +7,7 @@ import subprocess
 import pytest
 
 from oracle import close
-from pathseq.cli import main
+from pathseq.cli import _build_parser, _emit, main
 
 SPIDER = {"branches": [{"length": 1, "count": 1}, {"length": 2, "count": 2}]}
 GLUED = {"clique": 4, "branches": [{"length": 2, "count": 3}]}
@@ -305,6 +306,15 @@ def test_console_script_is_installed():
         ("survey", "--size", "8", "--index", "connectivity", "--tol", "-0.5"),
         ("reconstruct", "--starlike", "@spider", "--index", "connectivity", "--tol", "2"),
         ("verify", "--starlike", "@spider", "--index", "connectivity", "--tol", "nan"),
+        ("invariant", "--graph", "@star", "--index", "connectivity", "--order", "1", "--budget", "0"),
+        ("check-conditions", "--theorem", "7", "--index", "connectivity", "--x-max", "3"),
+        ("check-conditions", "--theorem", "7", "--index", "connectivity", "--x-max", "-5"),
+        ("check-conditions", "--theorem", "8", "--index", "connectivity", "--t-max", "-1"),
+        ("survey", "--size", "-3", "--index", "connectivity"),
+        ("survey", "--family", "generalized", "--size", "10", "--max-degree", "0",
+         "--index", "connectivity"),
+        ("census", "--starlike", "@spider", "--order", "2", "--index", "connectivity"),
+        ("survey", "--size", "8", "--index", "connectivity", "--budget", "1"),
     ],
 )
 def test_bad_numeric_flags_are_usage_errors(capsys, spider_file, star_file, argv):
@@ -321,3 +331,101 @@ def test_index_overflow_maps_to_error_object(capsys, spider_file):
     )
     assert code == 1
     assert json.loads(out)["error"]["type"] == "IndexEvaluation"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-conditions", "--theorem", "7", "--index", "power:2000", "--x-max", "8", "--t-max", "2"),
+        # the profile is finite (max 1.19e287); the ladder's slope at order 10 overflows
+        ("reconstruct", "--starlike", "@deep", "--index", "power:90"),
+    ],
+)
+def test_index_overflow_outside_census_maps_to_error_object(capsys, tmp_path, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text(json.dumps({"branches": [{"length": 1, "count": 2}, {"length": 10, "count": 1}]}))
+    code, out = run(capsys, *[str(deep) if a == "@deep" else a for a in argv])
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "IndexEvaluation"
+
+
+def test_survey_starlike_rejects_max_degree(capsys):
+    code = main(["survey", "--size", "9", "--max-degree", "5", "--index", "connectivity"])
+    assert code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_order_past_longest_path_prints_zero_without_terms(capsys, monkeypatch, spider_file):
+    from pathseq import starlike
+
+    def no_terms(h, *point):
+        raise AssertionError(f"terms built at order {h}")
+
+    monkeypatch.setattr(starlike, "_terms", no_terms)
+    order = str(10**9)
+    code, out = run(
+        capsys, "invariant", "--starlike", spider_file, "--index", "connectivity", "--order", order
+    )
+    assert code == 0 and json.loads(out)["value"] == 0.0
+    code, out = run(capsys, "census", "--starlike", spider_file, "--order", order)
+    assert code == 0 and json.loads(out)["classes"] == []
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# one argv per command, with graph and spec inputs where the command takes both
+FLAG_READ_ARGVS = [
+    ("invariant", "--graph", "@star", "--index", "connectivity", "--order", "1"),
+    ("invariant", "--starlike", "@spider", "--index", "connectivity", "--order", "2"),
+    ("profile", "--graph", "@star", "--index", "connectivity"),
+    ("profile", "--generalized", "@glued", "--index", "connectivity"),
+    ("census", "--graph", "@star", "--order", "1"),
+    ("census", "--starlike", "@spider", "--order", "2"),
+    ("verify", "--starlike", "@spider", "--index", "connectivity"),
+    ("reconstruct", "--graph", "@star", "--index", "connectivity"),
+    ("reconstruct", "--starlike", "@spider", "--index", "connectivity"),
+    ("distinguish", "--starlike", "@spider", "--starlike", "@spider", "--index", "connectivity"),
+    ("check-conditions", "--theorem", "7", "--index", "connectivity", "--x-max", "8", "--t-max", "2"),
+    ("survey", "--size", "8", "--index", "connectivity"),
+]
+
+
+def test_every_parsed_flag_is_read(capsys, spider_file, glued_file, star_file):
+    files = {"@spider": spider_file, "@glued": glued_file, "@star": star_file}
+    parser = _build_parser()
+    parsed, read = {}, {}
+    for argv in FLAG_READ_ARGVS:
+        args = parser.parse_args([files.get(a, a) for a in argv], namespace=ReadRecorder())
+        args._reads.clear()
+        _emit(args.handler(args), args)
+        command = argv[0]
+        parsed[command] = {k for k in vars(args) if not k.startswith("_")} - {"command", "handler"}
+        read.setdefault(command, set()).update(args._reads)
+    capsys.readouterr()
+    assert set(parsed) == {"invariant", "profile", "census", "verify", "reconstruct",
+                           "distinguish", "check-conditions", "survey"}
+    unread = sorted((c, flag) for c in parsed for flag in parsed[c] - read[c])
+    assert unread == []
+
+
+def test_flag_table_has_at_most_68_slots():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    slots = {
+        name: [a.dest for a in p._actions if a.dest != "help"]
+        for name, p in commands.choices.items()
+    }
+    assert sum(map(len, slots.values())) <= 68
+    for flags in slots.values():
+        assert "format" in flags and "output" in flags

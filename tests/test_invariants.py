@@ -131,3 +131,16 @@ def test_arithmetic_failure_in_index_is_a_pathseq_error():
         invariant_from_census(census, f)
     assert isinstance(exc.value, PathseqError)
     assert isinstance(exc.value.__cause__, ZeroDivisionError)
+
+
+def test_index_arithmetic_errors_map_wherever_f_runs():
+    f = InvariantFunction("bad", lambda d: 1.0 / (max(d) - 2))
+    with pytest.raises(IndexEvaluationError) as exc:
+        f([2, 2])
+    assert isinstance(exc.value.__cause__, ZeroDivisionError)
+    assert "'bad' at order 1" in str(exc.value)
+    # an overflow in the weighted sum itself is still mapped by the census sum
+    census = Census(order=0, entries={(1,): 1, (2,): 1})
+    with pytest.raises(IndexEvaluationError) as exc:
+        invariant_from_census(census, InvariantFunction("big", lambda d: 1e308))
+    assert isinstance(exc.value.__cause__, OverflowError)

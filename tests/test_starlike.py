@@ -249,3 +249,30 @@ def test_census_property_random_specs(counts):
     for order in (2, 3, rho, rho + 1):
         got = dict(starlike_census(spec, order).entries)
         assert got == oracle_census(g.vertex_count, edges, order)
+
+
+def test_closed_forms_past_longest_path_build_no_terms(monkeypatch):
+    from pathseq import GenStarlikeSpec, starlike
+
+    f = builtin("connectivity")
+    real_terms = starlike._terms
+    specs = (
+        StarlikeSpec.from_counts({1: 1, 2: 2}),
+        GenStarlikeSpec(4, StarlikeSpec.from_counts({2: 3})),
+    )
+    for spec in specs:
+        rho = spec.longest_path_length
+
+        def guarded(h, *point, rho=rho):
+            # a huge order would allocate its O(h) prefix list before this raised
+            if h > rho:
+                raise AssertionError(f"terms built at order {h} past the longest path {rho}")
+            return real_terms(h, *point)
+
+        monkeypatch.setattr(starlike, "_terms", guarded)
+        assert starlike_invariant(spec, 10**9, f) == 0.0
+        census = starlike_census(spec, 10**9)
+        assert census.order == 10**9 and census.entries == {} and census.total == 0
+        profile = starlike_profile(spec, f, rho + 3)
+        assert profile[rho] > 0 and profile[rho + 1 :] == [0.0, 0.0, 0.0]
+        assert profile[: rho + 1] == [starlike_invariant(spec, h, f) for h in range(rho + 1)]
