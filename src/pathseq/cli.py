@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 import tempfile
 
@@ -27,12 +26,7 @@ from .graph import (
     longest_path_length,
     path_census,
 )
-from .invariants import (
-    evaluate_invariant,
-    invariant_profile,
-    resolve_index,
-    validate_symmetry,
-)
+from .invariants import invariant_from_census, invariant_profile, resolve_index
 from .reconstruct import (
     DEFAULT_TOL,
     _first_difference,
@@ -45,12 +39,11 @@ from .reconstruct import (
 )
 from .starlike import (
     StarlikeSpec,
-    _closed_census,
-    _closed_invariant,
-    _closed_profile,
     _point,
-    _realize,
     load_starlike_spec,
+    realize_starlike,
+    starlike_census,
+    starlike_profile,
 )
 
 
@@ -84,29 +77,25 @@ def _rho(obj, budget: int) -> int:
 def _profile(obj, f, max_order: int, budget: int) -> list[float]:
     if isinstance(obj, Graph):
         return invariant_profile(obj, f, max_order, budget)
-    return _closed_profile(obj, f, max_order)
+    return starlike_profile(obj, f, max_order)
 
 
-def _index(args):
-    f = resolve_index(args.index)
-    if args.seed is not None:
-        validate_symmetry(f, random.Random(args.seed))
-    return f
+def _census(obj, order: int, budget: int):
+    if isinstance(obj, Graph):
+        return path_census(obj, order, budget)
+    return starlike_census(obj, order)
 
 
 def _cmd_invariant(args) -> dict:
     obj = _single_input(args)
-    f = _index(args)
-    if isinstance(obj, Graph):
-        value = evaluate_invariant(obj, args.order, f, args.budget)
-    else:
-        value = _closed_invariant(obj, args.order, f)
+    f = resolve_index(args.index)
+    value = invariant_from_census(_census(obj, args.order, args.budget), f)
     return {"h": args.order, "value": value}
 
 
 def _cmd_profile(args) -> dict:
     obj = _single_input(args)
-    f = _index(args)
+    f = resolve_index(args.index)
     rho = _rho(obj, args.budget)
     h_max = rho if args.max_order is None else min(args.max_order, rho)
     return {
@@ -118,11 +107,7 @@ def _cmd_profile(args) -> dict:
 
 
 def _cmd_census(args) -> dict:
-    obj = _single_input(args)
-    if isinstance(obj, Graph):
-        census = path_census(obj, args.order, args.budget)
-    else:
-        census = _closed_census(obj, args.order)
+    census = _census(_single_input(args), args.order, args.budget)
     classes = [
         {"degrees": list(seq), "count": count}
         for seq, count in sorted(census.entries.items())
@@ -134,11 +119,12 @@ def _cmd_verify(args) -> dict:
     obj = _single_input(args)
     if isinstance(obj, Graph):
         raise UsageError("verify compares a spec's closed form; pass --starlike or --generalized")
-    f = _index(args)
+    f = resolve_index(args.index)
     rho = obj.longest_path_length
     h_max = rho if args.max_order is None else args.max_order
-    brute = invariant_profile(_realize(obj), f, h_max, args.budget)
-    closed = _closed_profile(obj, f, h_max)
+    # past rho both profiles are 0.0 by construction
+    brute = invariant_profile(realize_starlike(obj), f, min(h_max, rho), args.budget)
+    closed = starlike_profile(obj, f, min(h_max, rho))
     abs_diffs = [abs(a - b) for a, b in zip(brute, closed)]
     rel_diffs = [d / max(1.0, abs(a), abs(b)) for d, a, b in zip(abs_diffs, brute, closed)]
     return {
@@ -153,7 +139,7 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_reconstruct(args) -> dict:
     obj = _single_input(args)
-    f = _index(args)
+    f = resolve_index(args.index)
     profile = _profile(obj, f, _rho(obj, args.budget), args.budget)
     if isinstance(obj, Graph):
         # an edge-list input picks its family: a tree is starlike
@@ -175,7 +161,7 @@ def _cmd_distinguish(args) -> dict:
     a, b = items
     if isinstance(a, Graph) or isinstance(b, Graph):
         raise UsageError("distinguish compares specs; pass --starlike or --generalized twice")
-    f = _index(args)
+    f = resolve_index(args.index)
     order = distinguish(a, b, f, args.tol)
     h_max = max(a.longest_path_length, b.longest_path_length)
     return {
@@ -188,7 +174,7 @@ def _cmd_distinguish(args) -> dict:
 
 
 def _cmd_check_conditions(args) -> dict:
-    f = _index(args)
+    f = resolve_index(args.index)
     if args.theorem == 7:
         report = check_starlike_conditions(f, args.x_max, args.t_max, args.tol)
     else:
@@ -197,7 +183,7 @@ def _cmd_check_conditions(args) -> dict:
 
 
 def _cmd_survey(args) -> dict:
-    f = _index(args)
+    f = resolve_index(args.index)
     if (args.family == "generalized") != (args.max_degree is not None):
         raise UsageError("--max-degree goes with --family generalized, and only with it")
     report = survey_distinguishability(
@@ -279,7 +265,6 @@ _FLAGS = {
     "index": {"required": True, "help": "index function, e.g. connectivity or power:0.5"},
     "tol": {"type": _tol, "default": DEFAULT_TOL},
     "budget": {"type": _at_least(1), "default": DEFAULT_BUDGET},
-    "seed": {"type": int, "default": None, "help": "seed for randomized symmetry validation"},
     "order": {"type": _at_least(0), "required": True},
     "max-order": {"type": _at_least(0), "default": None},
     "theorem": {"type": int, "choices": (7, 8), "required": True},
@@ -298,21 +283,21 @@ _INPUTS = ("graph", "starlike", "generalized")
 # Each command takes the flags its handler reads, plus --format and --output.
 _COMMANDS = (
     ("invariant", "one invariant value", _cmd_invariant,
-     (*_INPUTS, "index", "budget", "seed", "order")),
+     (*_INPUTS, "index", "budget", "order")),
     ("profile", "invariant values for all orders", _cmd_profile,
-     (*_INPUTS, "index", "budget", "seed", "max-order")),
+     (*_INPUTS, "index", "budget", "max-order")),
     ("census", "degree-sequence census at one order", _cmd_census,
      (*_INPUTS, "budget", "order")),
     ("verify", "closed form against enumeration", _cmd_verify,
-     (*_INPUTS, "index", "tol", "budget", "seed", "max-order")),
+     (*_INPUTS, "index", "tol", "budget", "max-order")),
     ("reconstruct", "rebuild a spec from its profile", _cmd_reconstruct,
-     (*_INPUTS, "index", "tol", "budget", "seed")),
+     (*_INPUTS, "index", "tol", "budget")),
     ("distinguish", "first order separating two specs", _cmd_distinguish,
-     (*_INPUTS, "index", "tol", "seed")),
+     (*_INPUTS, "index", "tol")),
     ("check-conditions", "scan index qualification inequalities", _cmd_check_conditions,
-     ("theorem", "index", "tol", "seed", "x-max", "t-max")),
+     ("theorem", "index", "tol", "x-max", "t-max")),
     ("survey", "all-pairs distinguishability in a family", _cmd_survey,
-     ("family", "size", "max-degree", "index", "tol", "seed")),
+     ("family", "size", "max-degree", "index", "tol")),
 )
 
 
@@ -330,23 +315,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(kind: str, message: str) -> dict:
+    return {"error": {"type": kind, "message": message}}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.handler(args)
+        doc, code = args.handler(args), 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except PathseqError as exc:
-        error = {"error": {"type": type(exc).__name__.removesuffix("Error"), "message": str(exc)}}
-        _emit(error, args)
-        return 1
+        doc, code = _error(type(exc).__name__.removesuffix("Error"), str(exc)), 1
     except OSError as exc:
-        _emit({"error": {"type": "IO", "message": str(exc)}}, args)
+        doc, code = _error("IO", str(exc)), 1
+    try:
+        _emit(doc, args)
+    except OSError as exc:
+        # --output cannot be written: report that on stdout instead
+        message = f"cannot write {args.output}: {exc.strerror or exc}"
+        args.output = None
+        _emit(_error("IO", message), args)
         return 1
-    _emit(doc, args)
-    return 0
+    return code
 
 
 def entry() -> None:

@@ -17,13 +17,14 @@ from .errors import FormatError, InvalidSpecError
 from .invariants import InvariantFunction
 from .starlike import (
     StarlikeSpec,
+    _closed_census,
     _closed_invariant,
     _closed_profile,
+    _is_int,
     _load_json,
     _realize,
     mu_coefficient,
     parse_starlike_spec,
-    starlike_census,
 )
 
 
@@ -81,7 +82,7 @@ def coalesce_spec(
 
 # The starlike closed forms and realizer take either spec.
 realize_generalized = _realize
-generalized_census = starlike_census
+generalized_census = _closed_census
 generalized_invariant = _closed_invariant
 generalized_profile = _closed_profile
 
@@ -105,7 +106,7 @@ def parse_generalized_spec(doc: object) -> GenStarlikeSpec | StarlikeSpec:
             "generalized spec must be an object with 'clique' and 'branches'"
         )
     clique = doc["clique"]
-    if not isinstance(clique, int):
+    if not _is_int(clique):
         raise FormatError("'clique' must be an integer")
     star = parse_starlike_spec({"branches": doc["branches"]})
     return coalesce_spec(clique, star.branch_counts)

@@ -231,19 +231,26 @@ def census_series(
 
     Costs the same node expansions as enumerating the deepest order alone,
     since a depth-limited walk visits every shorter path as a prefix anyway.
+    No path has n or more edges, so the walk stops at n - 1 and the orders
+    past it get empty censuses.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(max_order + 1)]
-    for trail in _walk(graph, max_order, budget, graph.degrees):
+    depth = min(max_order, graph.vertex_count - 1)
+    counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(depth + 1)]
+    for trail in _walk(graph, depth, budget, graph.degrees):
         seq = tuple(trail)
         rev = seq[::-1]
         counts[len(seq) - 1][seq if seq <= rev else rev] += 1
+    counts += [{}] * (max_order - depth)
     return [Census(order=h, entries=dict(c)) for h, c in enumerate(counts)]
 
 
 def path_census(graph: Graph, order: int, budget: int = DEFAULT_BUDGET) -> Census:
-    """Census of canonical degree sequences over all paths of one order."""
+    """Census of canonical degree sequences over all paths of one order;
+    empty, without a walk, for order >= n."""
+    if order >= graph.vertex_count:
+        return Census(order=order, entries={})
     return census_series(graph, order, budget)[order]
 
 

@@ -155,7 +155,8 @@ def invariant_profile(
 ) -> list[float]:
     """Invariant values for every order 0..max_order.
 
-    Orders beyond the longest path contribute zero.
+    Orders beyond the longest path contribute zero; past n - 1 edges no
+    census is built.
     """
-    series = census_series(graph, max_order, budget)
-    return [invariant_from_census(c, f) for c in series]
+    series = census_series(graph, min(max_order, graph.vertex_count - 1), budget)
+    return [invariant_from_census(c, f) for c in series] + [0.0] * (max_order + 1 - len(series))

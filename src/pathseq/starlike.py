@@ -266,10 +266,8 @@ def _closed_census(spec, order: int) -> Census:
 
 
 def _closed_invariant(spec, order: int, f: InvariantFunction) -> float:
-    """Order-h invariant of either spec, without enumeration."""
-    if order > spec.longest_path_length:
-        return 0.0
-    return _evaluate(_point(spec), order, f)
+    """Order-h invariant of either spec: f summed over its closed census."""
+    return invariant_from_census(_closed_census(spec, order), f)
 
 
 def _closed_profile(spec, f: InvariantFunction, max_order: int) -> list[float]:
@@ -280,15 +278,9 @@ def _closed_profile(spec, f: InvariantFunction, max_order: int) -> list[float]:
     return values + [0.0] * (max_order - rho)
 
 
-def starlike_census(spec, order: int) -> Census:
-    """Closed-form census of either spec for order >= 2."""
-    if order < 2:
-        raise ValueError("closed-form census requires order >= 2")
-    return _closed_census(spec, order)
-
-
 # Public names of both families; each accepts either spec.
 realize_starlike = _realize
+starlike_census = _closed_census
 starlike_invariant = _closed_invariant
 starlike_profile = _closed_profile
 
@@ -333,6 +325,11 @@ def tail_coefficients(
     return tuple(_evaluate((1, 0, m, {**base, k: 1}), h, f) - zero for k in (h - 2, h - 1, h))
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer: json.load gives true/false as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_starlike_spec(doc: object) -> StarlikeSpec:
     """Parse the JSON spec document {"branches": [{"length","count"}, ...]}."""
     if not isinstance(doc, dict) or "branches" not in doc:
@@ -344,8 +341,8 @@ def parse_starlike_spec(doc: object) -> StarlikeSpec:
     for entry in entries:
         if (
             not isinstance(entry, dict)
-            or not isinstance(entry.get("length"), int)
-            or not isinstance(entry.get("count"), int)
+            or not _is_int(entry.get("length"))
+            or not _is_int(entry.get("count"))
         ):
             raise FormatError(
                 "each branch entry must be an object with integer 'length' and 'count'"

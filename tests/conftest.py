@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import pathseq.graph
 import pathseq.invariants
 from pathseq import GenStarlikeSpec, StarlikeSpec, build_graph
 
@@ -12,6 +13,19 @@ def clean_registry():
     yield
     pathseq.invariants._registry.clear()
     pathseq.invariants._registry.update(saved)
+
+
+@pytest.fixture
+def walk_below_n(monkeypatch):
+    """Make graph._walk refuse n or more edges: no path on n vertices is that long."""
+    real_walk = pathseq.graph._walk
+
+    def walk(graph, max_length, *rest):
+        if max_length >= graph.vertex_count:
+            raise AssertionError(f"walk of {max_length} edges on {graph.vertex_count} vertices")
+        return real_walk(graph, max_length, *rest)
+
+    monkeypatch.setattr(pathseq.graph, "_walk", walk)
 
 
 @pytest.fixture

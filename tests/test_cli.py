@@ -2,7 +2,9 @@ import argparse
 import csv
 import io
 import json
+import os
 import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,7 @@ from pathseq.cli import _build_parser, _emit, main
 SPIDER = {"branches": [{"length": 1, "count": 1}, {"length": 2, "count": 2}]}
 GLUED = {"clique": 4, "branches": [{"length": 2, "count": 3}]}
 STAR4 = "# star on four vertices\n4 3\n0 1\n0 2\n0 3\n"
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 @pytest.fixture
@@ -275,16 +278,78 @@ def test_output_file_is_written_atomically(capsys, spider_file, tmp_path):
     assert leftovers == []
 
 
-def test_seed_validates_registered_index(capsys, spider_file):
+@pytest.mark.parametrize("index", ["connectivity", "nope"])
+def test_unwritable_output_is_an_io_error(capsys, spider_file, tmp_path, index):
+    # a report, or a domain error object, that cannot be written to --output
+    target = tmp_path / "missing" / "x.json"
     code, out = run(
         capsys,
         "invariant",
         "--starlike", spider_file,
-        "--index", "power:2",
+        "--index", index,
         "--order", "2",
-        "--seed", "11",
+        "--output", str(target),
     )
-    assert code == 0
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"]["type"] == "IO" and str(target) in doc["error"]["message"]
+    assert list(tmp_path.rglob(".pathseq-*")) == []
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"branches": [{"length": True, "count": 3}]},
+        {"branches": [{"length": 1, "count": True}, {"length": 2, "count": 3}]},
+        {"clique": True, "branches": [{"length": 1, "count": 3}]},
+    ],
+    ids=["length", "count", "clique"],
+)
+def test_boolean_in_spec_is_a_format_error(capsys, tmp_path, doc):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    flag = "--generalized" if "clique" in doc else "--starlike"
+    code, out = run(capsys, "invariant", flag, str(path), "--index", "connectivity", "--order", "1")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "Format"
+
+
+def test_spec_file_that_is_not_json_is_a_format_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"branches": [')
+    code, out = run(capsys, "census", "--starlike", str(bad), "--order", "2")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "Format"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--graph", "@star", "--index", "connectivity"),
+        ("distinguish", "--starlike", "@spider", "--index", "connectivity"),
+        ("distinguish", "--starlike", "@spider", "--graph", "@star", "--index", "connectivity"),
+    ],
+)
+def test_inputs_a_command_cannot_take_are_usage_errors(capsys, spider_file, star_file, argv):
+    files = {"@spider": spider_file, "@star": star_file}
+    assert main([files.get(a, a) for a in argv]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_orders_past_the_vertex_count_walk_no_further(capsys, walk_below_n, spider_file, star_file):
+    order = str(10**5)
+    code, out = run(
+        capsys, "invariant", "--graph", star_file, "--index", "connectivity", "--order", order
+    )
+    assert code == 0 and json.loads(out)["value"] == 0.0
+    code, out = run(capsys, "census", "--graph", star_file, "--order", order)
+    assert code == 0 and json.loads(out) == {"h": 10**5, "total": 0, "classes": []}
+    code, out = run(
+        capsys, "verify", "--starlike", spider_file, "--index", "connectivity", "--max-order", order
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["h_max"] == 10**5 and doc["status"] == "ok"
+    assert doc["max_abs_diff"] == 0.0 and doc["max_rel_diff"] == 0.0
 
 
 def test_console_script_is_installed():
@@ -419,13 +484,29 @@ def test_every_parsed_flag_is_read(capsys, spider_file, glued_file, star_file):
     assert unread == []
 
 
-def test_flag_table_has_at_most_68_slots():
+def test_flag_table_has_at_most_61_slots():
     parser = _build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     slots = {
         name: [a.dest for a in p._actions if a.dest != "help"]
         for name, p in commands.choices.items()
     }
-    assert sum(map(len, slots.values())) <= 68
+    assert sum(map(len, slots.values())) <= 61
     for flags in slots.values():
         assert "format" in flags and "output" in flags
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_benchmark_cli_argv_parses(seed):
+    # every job of the benchmark's cli_commands workload expects exit 0 or 1,
+    # so its argv must get past the parser
+    if BENCH_DIR not in sys.path:
+        sys.path.insert(0, BENCH_DIR)
+    import gen
+
+    jobs = gen.generate("cli_commands", seed).jobs
+    assert len(jobs) == 20
+    parser = _build_parser()
+    for job in jobs:
+        assert job["expect_code"] in (0, 1)
+        parser.parse_args(job["argv"])

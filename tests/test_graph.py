@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 from oracle import graph_edges, oracle_census, oracle_longest_path, oracle_paths
 from pathseq import (
     BudgetExceededError,
+    Census,
     DisconnectedError,
     DuplicateEdgeError,
     FormatError,
     SelfLoopError,
     VertexOutOfRangeError,
     build_graph,
+    builtin,
     canonical_class,
     census_series,
     enumerate_paths,
+    invariant_profile,
     longest_path_length,
     parse_edge_list,
     path_census,
@@ -173,3 +176,15 @@ def test_enumerate_paths_order_zero_charges_budget(path5):
     with pytest.raises(BudgetExceededError):
         list(enumerate_paths(path5, 0, budget=4))
     assert len(list(enumerate_paths(path5, 0, budget=5))) == 5
+
+
+def test_orders_past_n_minus_one_edges_walk_no_further(path5, walk_below_n):
+    series = census_series(path5, 12)
+    assert series[:5] == [path_census(path5, h) for h in range(5)]
+    assert series[5:] == [Census(order=h, entries={}) for h in range(5, 13)]
+    order = 10**5
+    assert path_census(path5, order) == Census(order=order, entries={})
+    f = builtin("connectivity")
+    profile = invariant_profile(path5, f, order)
+    assert profile[:5] == invariant_profile(path5, f, 4)
+    assert len(profile) == order + 1 and not any(profile[5:])

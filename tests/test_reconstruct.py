@@ -21,6 +21,7 @@ from pathseq import (
     generalized_specs,
     invariant_profile,
     longest_path_length,
+    mu_coefficient,
     realize_starlike,
     reconstruct_generalized,
     reconstruct_starlike,
@@ -28,6 +29,7 @@ from pathseq import (
     starlike_specs,
     survey_distinguishability,
 )
+from pathseq.starlike import _evaluate
 
 CONN = builtin("connectivity")
 DEGREE_SUM = InvariantFunction("degree-sum", lambda d: float(sum(d)))
@@ -157,6 +159,45 @@ def test_truncated_profile_cannot_fill_the_budget(spider):
     profile = starlike_profile(spider, CONN, 1)
     with pytest.raises(BudgetMismatchError):
         reconstruct_starlike(spider.vertex_count, profile, CONN)
+
+
+def test_empty_profile_is_rejected():
+    with pytest.raises(BudgetMismatchError, match="empty"):
+        reconstruct_starlike(6, [], CONN)
+
+
+def test_zero_slope_stops_the_ladder():
+    # hub degree 5 leaves one split (clique 3, three branches), so the order-0
+    # value picks it even for path-count, whose slope is zero at every order
+    spec = GenStarlikeSpec(clique_size=3, star=StarlikeSpec.from_counts({1: 1, 2: 2}))
+    f = builtin("path-count")
+    profile = generalized_profile(spec, f, spec.longest_path_length)
+    with pytest.raises(NonIntegerBranchCountError, match="zero slope"):
+        reconstruct_generalized(spec.vertex_count, spec.max_degree, profile, f)
+
+
+def test_negative_branch_count_stops_the_ladder():
+    spec = StarlikeSpec.from_counts({2: 3})
+    profile = starlike_profile(spec, CONN, spec.longest_path_length)
+    profile[1] -= mu_coefficient(CONN, 1, 3)
+    with pytest.raises(NonIntegerBranchCountError, match="negative"):
+        reconstruct_starlike(spec.vertex_count, profile, CONN)
+
+
+def test_branches_that_overfill_the_tree_stop_the_ladder(spider):
+    profile = starlike_profile(spider, CONN, spider.longest_path_length)
+    profile[1] += 3 * mu_coefficient(CONN, 1, 3)
+    with pytest.raises(BudgetMismatchError, match="overfill"):
+        reconstruct_starlike(spider.vertex_count, profile, CONN)
+
+
+def test_branch_total_must_equal_the_root_degree():
+    # root degree 3 on six vertices, but branches of lengths 1 and 4 only:
+    # the lengths fill the tree with one branch missing
+    point = (1, 6, 3, {1: 1, 4: 1})
+    profile = [_evaluate(point, h, CONN) for h in range(6)]
+    with pytest.raises(BudgetMismatchError, match="root degree demands 3"):
+        reconstruct_starlike(6, profile, CONN)
 
 
 def test_reconstruction_errors_share_a_base(spider):
