@@ -6,7 +6,9 @@ one whose first endpoint index is <= its last). Reducing a path to its degree
 sequence, read off in path order and normalised against reversal, buckets the
 paths of each order into a census: a map from canonical degree sequence to
 multiplicity. Summing an index function against the census is then equivalent
-to summing it path by path.
+to summing it path by path. Twins (vertices with the same open or closed
+neighbourhood) have the same degree, so the census walk steps onto each twin
+class once and counts the paths that its free members stand for.
 """
 
 from __future__ import annotations
@@ -161,52 +163,100 @@ def load_edge_list(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _walk(
-    graph: Graph, max_length: int, budget: int, keys: Sequence | None = None
-) -> Iterator[list]:
-    """Budgeted depth-first walk over every path of at most max_length edges.
+def _twins(graph: Graph) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+    """Twin classes: vertices with the same open, or the same closed,
+    neighbourhood. Swapping two twins maps paths to paths with the same
+    degree sequence.
 
-    Yields each path once, in the orientation whose first vertex index is
-    <= its last, as the list of its vertices in path order, or of keys[v]
-    for them when keys is given. The list is extended and shrunk in place
-    as the walk moves, so a consumer copies what it keeps. Every step onto
-    an unvisited vertex, a path's first vertex included, is one node
-    expansion; passing budget raises.
+    Returns the class sizes, the class adjacency and each class's smallest
+    vertex as its representative; classes are numbered by that vertex. A
+    class is a module (every other vertex sees all of it or none), and a
+    true-twin class of two or more is a clique, so it is adjacent to itself.
     """
-    adj = graph.adjacency
-    visited = bytearray(graph.vertex_count)
-    verts: list[int] = []
-    trail = verts if keys is None else []
-    # a virtual root adjacent to every vertex: its steps are the start vertices
-    stack = [iter(range(graph.vertex_count))]
+    by_open: dict[tuple[int, ...], int] = {}
+    by_closed: dict[tuple[int, ...], int] = {}
+    label: list[int] = []
+    reps: list[int] = []
+    for v, nbrs in enumerate(graph.adjacency):
+        closed = tuple(sorted((*nbrs, v)))
+        c = by_open.get(nbrs, by_closed.get(closed))
+        if c is None:
+            c = len(reps)
+            reps.append(v)
+        by_open.setdefault(nbrs, c)
+        by_closed.setdefault(closed, c)
+        label.append(c)
+    sizes = [0] * len(reps)
+    for c in label:
+        sizes[c] += 1
+    adjacency = [tuple(sorted({label[w] for w in graph.adjacency[r]})) for r in reps]
+    return sizes, adjacency, reps
+
+
+def _walk(
+    graph: Graph,
+    max_length: int,
+    budget: int,
+    classes: tuple | None = None,
+    keys: Sequence | None = None,
+) -> Iterator[tuple[list, int]]:
+    """Budgeted depth-first walk over every path of at most max_length edges,
+    one twin-class sequence at a time.
+
+    classes is _twins(graph); without it every vertex is its own class, and
+    the walk is over vertex paths. A step onto class c with k free members
+    stands for k vertex extensions, so W, the product of the k's along the
+    trail, is the number of oriented vertex paths behind it. Each class
+    sequence whose first class is <= its last is yielded once, as
+    (trail, count). trail lists its classes, or keys[c] for them when keys
+    is given; it is extended and shrunk in place as the walk moves, so a
+    consumer copies what it keeps. count is the number of paths it stands
+    for: W, or W // 2 when a sequence with an edge starts and ends in one
+    class (its reverse is yielded too, or it is its own reverse).
+
+    Every step is one node expansion. When a step's subtree is done it is
+    charged k - 1 more times, once per other free twin, whose subtree is the
+    same size. A complete walk thus charges one expansion per oriented
+    vertex path, as a vertex-by-vertex walk would; passing budget raises.
+    """
+    sizes, adj, _ = classes or ([1] * graph.vertex_count, graph.adjacency, None)
+    used = [0] * len(sizes)
+    path: list[int] = []
+    trail = path if keys is None else []
+    # per step on the path: (W, k, expansions before the step); root sentinel
+    frames = [(1, 1, 0)]
+    # a virtual root adjacent to every class: its steps are the start classes
+    stack = [iter(range(len(sizes)))]
     expansions = 0
     while stack:
-        w = next(stack[-1], None)
-        if w is None:
+        c = next(stack[-1], None)
+        if c is None:
             stack.pop()
-            if verts:
-                visited[verts.pop()] = 0
+            if path:
+                used[path.pop()] -= 1
                 if keys is not None:
                     trail.pop()
+                _, k, before = frames.pop()
+                if k > 1:
+                    expansions += (k - 1) * (expansions - before)
+                    if expansions > budget:
+                        raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
             continue
-        if visited[w]:
+        k = sizes[c] - used[c]
+        if not k:
             continue
         expansions += 1
         if expansions > budget:
             raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
-        visited[w] = 1
-        verts.append(w)
+        used[c] += 1
+        path.append(c)
         if keys is not None:
-            trail.append(keys[w])
-        if verts[0] <= w:
-            yield trail
-        if len(verts) <= max_length:
-            stack.append(iter(adj[w]))
-        else:
-            visited[w] = 0
-            verts.pop()
-            if keys is not None:
-                trail.pop()
+            trail.append(keys[c])
+        w = frames[-1][0] * k
+        frames.append((w, k, expansions - 1))
+        if path[0] <= c:
+            yield trail, w // 2 if path[0] == c and len(path) > 1 else w
+        stack.append(iter(adj[c]) if len(path) <= max_length else iter(()))
 
 
 def enumerate_paths(
@@ -215,11 +265,14 @@ def enumerate_paths(
     """Yield every path of the given order once, as a vertex tuple.
 
     Orientation rule: the emitted tuple starts at the smaller endpoint.
-    Order 0 paths are the single vertices.
+    Order 0 paths are the single vertices. No path has n or more edges, so
+    such orders yield nothing without a walk.
     """
     if order < 0:
         raise ValueError(f"order must be >= 0, got {order}")
-    for trail in _walk(graph, order, budget):
+    if order >= graph.vertex_count:
+        return
+    for trail, _ in _walk(graph, order, budget):
         if len(trail) > order:
             yield tuple(trail)
 
@@ -232,16 +285,20 @@ def census_series(
     Costs the same node expansions as enumerating the deepest order alone,
     since a depth-limited walk visits every shorter path as a prefix anyway.
     No path has n or more edges, so the walk stops at n - 1 and the orders
-    past it get empty censuses.
+    past it get empty censuses. The walk is over twin classes, and each class
+    sequence adds the number of paths it stands for; the budget is charged
+    one expansion per oriented vertex path all the same.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     depth = min(max_order, graph.vertex_count - 1)
     counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(depth + 1)]
-    for trail in _walk(graph, depth, budget, graph.degrees):
+    twins = _twins(graph)
+    degrees = [graph.degree(r) for r in twins[2]]
+    for trail, count in _walk(graph, depth, budget, twins, degrees):
         seq = tuple(trail)
         rev = seq[::-1]
-        counts[len(seq) - 1][seq if seq <= rev else rev] += 1
+        counts[len(seq) - 1][seq if seq <= rev else rev] += count
     counts += [{}] * (max_order - depth)
     return [Census(order=h, entries=dict(c)) for h, c in enumerate(counts)]
 
@@ -259,14 +316,15 @@ def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
 
     A tree's comes from two breadth-first passes and needs no budget: the
     vertex farthest from any vertex ends a longest path. Other graphs are
-    searched exhaustively.
+    searched exhaustively over twin-class sequences, which stops at the
+    first path through all n vertices.
     """
     n = graph.vertex_count
     if graph.edge_count == n - 1:
         dist = _distances(graph, 0)
         return max(_distances(graph, dist.index(max(dist))))
     best = 0
-    for trail in _walk(graph, n - 1, budget):
+    for trail, _ in _walk(graph, n - 1, budget, _twins(graph)):
         if len(trail) - 1 > best:
             best = len(trail) - 1
             if best == n - 1:

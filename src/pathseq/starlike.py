@@ -273,6 +273,8 @@ def _closed_invariant(spec, order: int, f: InvariantFunction) -> float:
 def _closed_profile(spec, f: InvariantFunction, max_order: int) -> list[float]:
     """Closed-form invariant values of either spec for orders 0..max_order;
     orders past the longest path are 0.0 without evaluation."""
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
     point, rho = _point(spec), spec.longest_path_length
     values = [_evaluate(point, h, f) for h in range(min(max_order, rho) + 1)]
     return values + [0.0] * (max_order - rho)

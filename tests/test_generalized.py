@@ -136,6 +136,11 @@ def test_profile_concatenates_orders(glued):
     assert profile == [generalized_invariant(glued, h, f) for h in range(5)]
 
 
+def test_negative_max_order_is_rejected(glued):
+    with pytest.raises(ValueError, match="max_order must be >= 0"):
+        generalized_profile(glued, builtin("connectivity"), -1)
+
+
 def test_generalized_mu_reduces_to_starlike_with_hub_degree():
     f = builtin("connectivity")
     for h in (2, 4):

@@ -1,7 +1,11 @@
+import os
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pathseq.graph
 from oracle import graph_edges, oracle_census, oracle_longest_path, oracle_paths
 from pathseq import (
     BudgetExceededError,
@@ -9,18 +13,25 @@ from pathseq import (
     DisconnectedError,
     DuplicateEdgeError,
     FormatError,
+    GenStarlikeSpec,
     SelfLoopError,
+    StarlikeSpec,
     VertexOutOfRangeError,
     build_graph,
     builtin,
     canonical_class,
     census_series,
     enumerate_paths,
+    generalized_census,
     invariant_profile,
     longest_path_length,
     parse_edge_list,
     path_census,
+    realize_generalized,
+    resolve_index,
 )
+
+BENCH_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
 def test_canonical_class_picks_lex_min_orientation():
@@ -188,3 +199,138 @@ def test_orders_past_n_minus_one_edges_walk_no_further(path5, walk_below_n):
     profile = invariant_profile(path5, f, order)
     assert profile[:5] == invariant_profile(path5, f, 4)
     assert len(profile) == order + 1 and not any(profile[5:])
+
+
+def test_enumerate_paths_past_n_minus_one_edges_walks_nothing(k4, walk_below_n):
+    assert list(enumerate_paths(k4, 4)) == []
+    assert list(enumerate_paths(k4, 10**5)) == []
+    assert len(list(enumerate_paths(k4, 3))) == 12
+
+
+def _clique(k):
+    return [(a, b) for a in range(k) for b in range(a + 1, k)]
+
+
+@st.composite
+def small_graphs(draw):
+    """Connected graphs on at most 8 vertices, most of them rich in twins:
+    K_n, cycles, K_{a,b}, cliques with pendant leaves, and random trees
+    with extra edges; vertices are relabelled at random."""
+    kind = draw(st.sampled_from(["complete", "cycle", "bipartite", "pendants", "random"]))
+    if kind == "complete":
+        n = draw(st.integers(2, 8))
+        edges = _clique(n)
+    elif kind == "cycle":
+        n = draw(st.integers(3, 8))
+        edges = [(i, (i + 1) % n) for i in range(n)]
+    elif kind == "bipartite":
+        a = draw(st.integers(1, 4))
+        n = a + draw(st.integers(1, 8 - a))
+        edges = [(i, j) for i in range(a) for j in range(a, n)]
+    elif kind == "pendants":
+        k = draw(st.integers(2, 6))
+        n = k + draw(st.integers(0, 8 - k))
+        edges = _clique(k) + [(draw(st.integers(0, k - 1)), v) for v in range(k, n)]
+    else:
+        n = draw(st.integers(2, 8))
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+        others = [e for e in _clique(n) if e not in edges]
+        if others:
+            edges += draw(st.lists(st.sampled_from(others), unique=True))
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[a], perm[b]) for a, b in edges]
+
+
+def _oriented_paths(n, edges, h):
+    """Oriented vertex paths of at most h edges: what a complete walk charges."""
+    return n + 2 * sum(len(oracle_paths(n, edges, i)) for i in range(1, h + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs())
+def test_twin_walk_matches_oracle(graph):
+    n, edges = graph
+    g = build_graph(n, edges)
+    series = census_series(g, n - 1)
+    for order in range(n):
+        assert series[order].entries == oracle_census(n, edges, order)
+    assert longest_path_length(g) == oracle_longest_path(n, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(), st.integers(0, 7))
+def test_complete_census_walk_charges_every_oriented_path(graph, h):
+    n, edges = graph
+    g = build_graph(n, edges)
+    h = min(h, n - 1)
+    budget = _oriented_paths(n, edges, h)
+    assert len(census_series(g, h, budget)) == h + 1
+    with pytest.raises(BudgetExceededError):
+        census_series(g, h, budget - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+@example((6, [(i, j) for i in range(2) for j in range(2, 6)]))  # K_{2,4}
+@example((7, _clique(4) + [(0, 4), (1, 5), (2, 6)]))  # three pendants on K4
+def test_longest_path_without_spanning_path_charges_every_oriented_path(graph):
+    n, edges = graph
+    longest = oracle_longest_path(n, edges)
+    if len(edges) == n - 1 or longest == n - 1:
+        return  # a tree needs no budget; a spanning path ends the search early
+    g = build_graph(n, edges)
+    budget = _oriented_paths(n, edges, n - 1)
+    assert longest_path_length(g, budget) == longest
+    with pytest.raises(BudgetExceededError):
+        longest_path_length(g, budget - 1)
+
+
+@pytest.mark.parametrize("n", [4, 12, 40])
+def test_complete_graph_longest_path_needs_n_expansions(n):
+    g = build_graph(n, _clique(n))
+    assert longest_path_length(g, budget=n) == n - 1
+    with pytest.raises(BudgetExceededError):
+        longest_path_length(g, budget=n - 1)
+
+
+def test_census_walks_each_twin_class_once(monkeypatch):
+    real_walk = pathseq.graph._walk
+    items = 0
+
+    def counting_walk(*args):
+        nonlocal items
+        for item in real_walk(*args):
+            items += 1
+            yield item
+
+    monkeypatch.setattr(pathseq.graph, "_walk", counting_walk)
+    spec = GenStarlikeSpec(clique_size=7, star=StarlikeSpec.from_counts({1: 1, 2: 1, 3: 1, 8: 1}))
+    rho = spec.longest_path_length
+    series = census_series(realize_generalized(spec), rho)
+    # the six non-hub clique vertices are twins: a vertex-by-vertex walk
+    # yields tens of thousands of paths here
+    assert items < 1000
+    assert [c.entries for c in series] == [generalized_census(spec, h).entries for h in range(rho + 1)]
+
+
+def test_benchmark_graph_answers():
+    # the benchmark's enumerate_graphs workload, checked against its own
+    # reference answers, so that a wrong graph census fails here first
+    if BENCH_DIR not in sys.path:
+        sys.path.insert(0, BENCH_DIR)
+    import gen
+    import reference
+
+    inputs = gen.generate("enumerate_graphs", 1)
+    checked = 0
+    for job in inputs.jobs:
+        if job["kind"] != "graph_profile":
+            continue
+        expected = inputs.expected[job["id"]]
+        g = parse_edge_list(inputs.files[job["graph"]])
+        rho = longest_path_length(g)
+        assert rho == expected["rho"]
+        values = invariant_profile(g, resolve_index(job["index"]), rho)
+        assert reference.profile_matches(values, expected["values"]), job["graph"]
+        checked += 1
+    assert checked == gen.TREE_COUNT + gen.K7_COUNT + 1

@@ -147,6 +147,12 @@ def test_profile_concatenates_orders(spider):
     assert profile == [starlike_invariant(spider, h, f) for h in range(5)]
 
 
+def test_negative_max_order_is_rejected(spider):
+    # as invariant_profile rejects it for a graph, not an empty profile
+    with pytest.raises(ValueError, match="max_order must be >= 0"):
+        starlike_profile(spider, builtin("connectivity"), -1)
+
+
 def test_mu_is_the_branch_count_slope():
     # two specs with the same n, m and other counts, differing by one
     # branch of the probed length against one longer filler
