@@ -163,100 +163,117 @@ def load_edge_list(path: str) -> Graph:
         return parse_edge_list(fh.read())
 
 
-def _twins(graph: Graph) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+def _twins(graph: Graph) -> tuple[list[int], list[int], list[int]]:
     """Twin classes: vertices with the same open, or the same closed,
     neighbourhood. Swapping two twins maps paths to paths with the same
     degree sequence.
 
-    Returns the class sizes, the class adjacency and each class's smallest
-    vertex as its representative; classes are numbered by that vertex. A
-    class is a module (every other vertex sees all of it or none), and a
-    true-twin class of two or more is a clique, so it is adjacent to itself.
+    Returns each vertex's class, its rank (how many vertices of its class are
+    smaller) and the class sizes; classes are numbered by their smallest
+    vertex. A class is a module: every other vertex sees all of it or none.
     """
     by_open: dict[tuple[int, ...], int] = {}
     by_closed: dict[tuple[int, ...], int] = {}
     label: list[int] = []
-    reps: list[int] = []
+    rank: list[int] = []
+    sizes: list[int] = []
     for v, nbrs in enumerate(graph.adjacency):
         closed = tuple(sorted((*nbrs, v)))
         c = by_open.get(nbrs, by_closed.get(closed))
         if c is None:
-            c = len(reps)
-            reps.append(v)
+            c = len(sizes)
+            sizes.append(0)
         by_open.setdefault(nbrs, c)
         by_closed.setdefault(closed, c)
         label.append(c)
-    sizes = [0] * len(reps)
-    for c in label:
+        rank.append(sizes[c])
         sizes[c] += 1
-    adjacency = [tuple(sorted({label[w] for w in graph.adjacency[r]})) for r in reps]
-    return sizes, adjacency, reps
+    return label, rank, sizes
 
 
 def _walk(
     graph: Graph,
     max_length: int,
     budget: int,
-    classes: tuple | None = None,
+    twins: tuple | None = None,
     keys: Sequence | None = None,
 ) -> Iterator[tuple[list, int]]:
     """Budgeted depth-first walk over every path of at most max_length edges,
-    one twin-class sequence at a time.
+    stepping onto each twin class once.
 
-    classes is _twins(graph); without it every vertex is its own class, and
-    the walk is over vertex paths. A step onto class c with k free members
-    stands for k vertex extensions, so W, the product of the k's along the
-    trail, is the number of oriented vertex paths behind it. Each class
-    sequence whose first class is <= its last is yielded once, as
-    (trail, count). trail lists its classes, or keys[c] for them when keys
-    is given; it is extended and shrunk in place as the walk moves, so a
-    consumer copies what it keeps. count is the number of paths it stands
-    for: W, or W // 2 when a sequence with an edge starts and ends in one
-    class (its reverse is yielded too, or it is its own reverse).
+    twins is _twins(graph); without it every vertex is its own class, and
+    every vertex path is walked. The walk meets vertices in the order of a
+    vertex-by-vertex walk, but steps only onto the smallest free member of a
+    class; the other free members are its twins, and their subtrees are the
+    same size. A step onto class c with k free members thus stands for k
+    vertex extensions, and W, the product of the k's along the trail, is the
+    number of oriented vertex paths behind it. Each class sequence whose
+    first class is <= its last is yielded once, as (trail, count). trail
+    lists its vertices, or keys[v] for them when keys is given; it is
+    extended and shrunk in place as the walk moves, so a consumer copies
+    what it keeps. count is the number of paths it stands for: W, or W // 2
+    when a sequence with an edge starts and ends in one class (its reverse
+    is yielded too, or it is its own reverse).
 
-    Every step is one node expansion. When a step's subtree is done it is
-    charged k - 1 more times, once per other free twin, whose subtree is the
-    same size. A complete walk thus charges one expansion per oriented
-    vertex path, as a vertex-by-vertex walk would; passing budget raises.
+    Every step is one node expansion, and meeting a twin that is not stepped
+    onto charges the expansions of its smaller twin's subtree. The walk thus
+    charges what a vertex-by-vertex walk would have charged by the same
+    point, whether it runs to the end or its consumer stops early; passing
+    budget raises.
     """
-    sizes, adj, _ = classes or ([1] * graph.vertex_count, graph.adjacency, None)
+    n = graph.vertex_count
+    adj = graph.adjacency
+    label, rank, sizes = twins or (range(n), [0] * n, [1] * n)
     used = [0] * len(sizes)
-    path: list[int] = []
-    trail = path if keys is None else []
-    # per step on the path: (W, k, expansions before the step); root sentinel
-    frames = [(1, 1, 0)]
-    # a virtual root adjacent to every class: its steps are the start classes
-    stack = [iter(range(len(sizes)))]
+    verts: list[int] = []
+    trail = verts if keys is None else []
+    # per step on the path: (W, expansions before the step, class, k), after
+    # a root sentinel
+    frames = [(1, 0, -1, 1)]
+    # (depth, class) -> expansions of the subtree just walked from the vertex
+    # at that depth onto a class member with free twins, which it meets next
+    walked: dict[tuple[int, int], int] = {}
+    # a virtual root adjacent to every vertex: its steps are the start vertices
+    stack = [iter(range(n))]
     expansions = 0
     while stack:
-        c = next(stack[-1], None)
-        if c is None:
+        w = next(stack[-1], None)
+        if w is None:
             stack.pop()
-            if path:
-                used[path.pop()] -= 1
+            if verts:
+                verts.pop()
                 if keys is not None:
                     trail.pop()
-                _, k, before = frames.pop()
+                _, before, c, k = frames.pop()
+                used[c] -= 1
                 if k > 1:
-                    expansions += (k - 1) * (expansions - before)
-                    if expansions > budget:
-                        raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+                    walked[len(verts), c] = expansions - before
             continue
-        k = sizes[c] - used[c]
-        if not k:
+        c = label[w]
+        # a class's used members are its smallest, so w is on the path
+        # (behind < 0), the member to step onto (0), or a free twin of the
+        # member just walked from here (> 0)
+        behind = rank[w] - used[c]
+        if behind:
+            if behind > 0:
+                expansions += walked[len(verts), c]
+                if expansions > budget:
+                    raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
             continue
         expansions += 1
         if expansions > budget:
             raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
+        k = sizes[c] - used[c]
         used[c] += 1
-        path.append(c)
+        verts.append(w)
         if keys is not None:
-            trail.append(keys[c])
-        w = frames[-1][0] * k
-        frames.append((w, k, expansions - 1))
-        if path[0] <= c:
-            yield trail, w // 2 if path[0] == c and len(path) > 1 else w
-        stack.append(iter(adj[c]) if len(path) <= max_length else iter(()))
+            trail.append(keys[w])
+        weight = frames[-1][0] * k
+        frames.append((weight, expansions - 1, c, k))
+        first = frames[1][2]
+        if first <= c:
+            yield trail, weight // 2 if first == c and len(verts) > 1 else weight
+        stack.append(iter(adj[w]) if len(verts) <= max_length else iter(()))
 
 
 def enumerate_paths(
@@ -293,9 +310,7 @@ def census_series(
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     depth = min(max_order, graph.vertex_count - 1)
     counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(depth + 1)]
-    twins = _twins(graph)
-    degrees = [graph.degree(r) for r in twins[2]]
-    for trail, count in _walk(graph, depth, budget, twins, degrees):
+    for trail, count in _walk(graph, depth, budget, _twins(graph), graph.degrees):
         seq = tuple(trail)
         rev = seq[::-1]
         counts[len(seq) - 1][seq if seq <= rev else rev] += count
@@ -317,7 +332,8 @@ def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     A tree's comes from two breadth-first passes and needs no budget: the
     vertex farthest from any vertex ends a longest path. Other graphs are
     searched exhaustively over twin-class sequences, which stops at the
-    first path through all n vertices.
+    first path through all n vertices. The search charges the budget what a
+    vertex-by-vertex search would, so it raises at the same budgets.
     """
     n = graph.vertex_count
     if graph.edge_count == n - 1:

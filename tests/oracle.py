@@ -52,6 +52,35 @@ def oracle_longest_path(n, edges):
     return best
 
 
+def oracle_search_cost(n, edges):
+    """Steps a vertex-by-vertex depth-first search takes to find a longest
+    path: start vertices and neighbours in increasing order, one step per
+    vertex put on the path, stopping at the first path through all n."""
+    adj = {v: [] for v in range(n)}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    steps = 0
+
+    def extend(path):
+        nonlocal steps
+        steps += 1
+        if len(path) == n:
+            return True
+        for w in sorted(adj[path[-1]]):
+            if w not in path:
+                path.append(w)
+                if extend(path):
+                    return True
+                path.pop()
+        return False
+
+    for v in range(n):
+        if extend([v]):
+            break
+    return steps
+
+
 def graph_edges(g):
     """Edge list of a package Graph, for feeding back into the oracle."""
     return [(a, b) for a in range(g.vertex_count) for b in g.adjacency[a] if a < b]

@@ -6,7 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathseq.graph
-from oracle import graph_edges, oracle_census, oracle_longest_path, oracle_paths
+from oracle import (
+    graph_edges,
+    oracle_census,
+    oracle_longest_path,
+    oracle_paths,
+    oracle_search_cost,
+)
 from pathseq import (
     BudgetExceededError,
     Census,
@@ -269,20 +275,36 @@ def test_complete_census_walk_charges_every_oriented_path(graph, h):
         census_series(g, h, budget - 1)
 
 
-@settings(max_examples=40, deadline=None)
+def _split(n):
+    """Complete split graph: the even vertices form a clique, the odd ones an
+    independent set, and every even vertex sees every odd one."""
+    return [(a, b) for a in range(n) for b in range(a + 1, n) if a % 2 == 0 or b % 2 == 0]
+
+
+@settings(max_examples=60, deadline=None)
 @given(small_graphs())
 @example((6, [(i, j) for i in range(2) for j in range(2, 6)]))  # K_{2,4}
 @example((7, _clique(4) + [(0, 4), (1, 5), (2, 6)]))  # three pendants on K4
-def test_longest_path_without_spanning_path_charges_every_oriented_path(graph):
+@example((9, _split(9)))
+def test_longest_path_charges_what_a_vertex_search_charges(graph):
     n, edges = graph
-    longest = oracle_longest_path(n, edges)
-    if len(edges) == n - 1 or longest == n - 1:
-        return  # a tree needs no budget; a spanning path ends the search early
+    if len(edges) == n - 1:
+        return  # a tree needs no budget
     g = build_graph(n, edges)
-    budget = _oriented_paths(n, edges, n - 1)
-    assert longest_path_length(g, budget) == longest
+    budget = oracle_search_cost(n, edges)
+    assert longest_path_length(g, budget) == oracle_longest_path(n, edges)
     with pytest.raises(BudgetExceededError):
         longest_path_length(g, budget - 1)
+
+
+def test_split_graph_longest_path_needs_n_expansions():
+    # a clique of 9 twins joined to 8 independent twins: a twin-class walk
+    # that tried clique-clique-clique first would search a large dead end
+    g = build_graph(17, _split(17))
+    assert longest_path_length(g) == 16
+    assert longest_path_length(g, budget=17) == 16
+    with pytest.raises(BudgetExceededError):
+        longest_path_length(g, budget=16)
 
 
 @pytest.mark.parametrize("n", [4, 12, 40])
