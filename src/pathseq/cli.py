@@ -18,15 +18,9 @@ import sys
 import tempfile
 
 from .errors import PathseqError
-from .generalized import GenStarlikeSpec, load_generalized_spec
-from .graph import (
-    DEFAULT_BUDGET,
-    Graph,
-    load_edge_list,
-    longest_path_length,
-    path_census,
-)
-from .invariants import invariant_from_census, invariant_profile, resolve_index
+from .generalized import load_generalized_spec
+from .graph import DEFAULT_BUDGET, load_edge_list
+from .invariants import evaluate_invariant, invariant_profile, resolve_index
 from .reconstruct import (
     DEFAULT_TOL,
     _first_difference,
@@ -37,21 +31,15 @@ from .reconstruct import (
     reconstruct_starlike,
     survey_distinguishability,
 )
-from .starlike import (
-    StarlikeSpec,
-    _point,
-    load_starlike_spec,
-    realize_starlike,
-    starlike_census,
-    starlike_profile,
-)
+from .starlike import load_starlike_spec, realize_starlike
 
 
 class UsageError(Exception):
     pass
 
 
-def _load_inputs(args) -> list[Graph | StarlikeSpec | GenStarlikeSpec]:
+def _load_inputs(args) -> list:
+    """Graphs and specs in flag order; each has longest_path, census and censuses."""
     # a --generalized clique of 2 normalizes to a plain starlike spec
     loaders = (
         (args.graph, load_edge_list),
@@ -68,46 +56,27 @@ def _single_input(args):
     return items[0]
 
 
-def _rho(obj, budget: int) -> int:
-    if isinstance(obj, Graph):
-        return longest_path_length(obj, budget)
-    return obj.longest_path_length
-
-
-def _profile(obj, f, max_order: int, budget: int) -> list[float]:
-    if isinstance(obj, Graph):
-        return invariant_profile(obj, f, max_order, budget)
-    return starlike_profile(obj, f, max_order)
-
-
-def _census(obj, order: int, budget: int):
-    if isinstance(obj, Graph):
-        return path_census(obj, order, budget)
-    return starlike_census(obj, order)
-
-
 def _cmd_invariant(args) -> dict:
     obj = _single_input(args)
     f = resolve_index(args.index)
-    value = invariant_from_census(_census(obj, args.order, args.budget), f)
-    return {"h": args.order, "value": value}
+    return {"h": args.order, "value": evaluate_invariant(obj, args.order, f, args.budget)}
 
 
 def _cmd_profile(args) -> dict:
     obj = _single_input(args)
     f = resolve_index(args.index)
-    rho = _rho(obj, args.budget)
+    rho = obj.longest_path(args.budget)
     h_max = rho if args.max_order is None else min(args.max_order, rho)
     return {
         "index": f.name,
         "longest_path_length": rho,
         "h_max": h_max,
-        "values": _profile(obj, f, h_max, args.budget),
+        "values": invariant_profile(obj, f, h_max, args.budget),
     }
 
 
 def _cmd_census(args) -> dict:
-    census = _census(_single_input(args), args.order, args.budget)
+    census = _single_input(args).census(args.order, args.budget)
     classes = [
         {"degrees": list(seq), "count": count}
         for seq, count in sorted(census.entries.items())
@@ -117,14 +86,14 @@ def _cmd_census(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     obj = _single_input(args)
-    if isinstance(obj, Graph):
+    if args.graph:
         raise UsageError("verify compares a spec's closed form; pass --starlike or --generalized")
     f = resolve_index(args.index)
     rho = obj.longest_path_length
     h_max = rho if args.max_order is None else args.max_order
     # past rho both profiles are 0.0 by construction
     brute = invariant_profile(realize_starlike(obj), f, min(h_max, rho), args.budget)
-    closed = starlike_profile(obj, f, min(h_max, rho))
+    closed = invariant_profile(obj, f, min(h_max, rho))
     abs_diffs = [abs(a - b) for a, b in zip(brute, closed)]
     rel_diffs = [d / max(1.0, abs(a), abs(b)) for d, a, b in zip(abs_diffs, brute, closed)]
     return {
@@ -140,17 +109,14 @@ def _cmd_verify(args) -> dict:
 def _cmd_reconstruct(args) -> dict:
     obj = _single_input(args)
     f = resolve_index(args.index)
-    profile = _profile(obj, f, _rho(obj, args.budget), args.budget)
-    if isinstance(obj, Graph):
-        # an edge-list input picks its family: a tree is starlike
-        tree, r = obj.edge_count == obj.vertex_count - 1, max(obj.degrees)
+    profile = invariant_profile(obj, f, obj.longest_path(args.budget), args.budget)
+    # the censuses pick the family: n vertices, hub degree r, and a tree is starlike
+    vertices, edges = obj.census(0, args.budget), obj.census(1, args.budget)
+    n, (r,) = vertices.total, max(vertices.entries)
+    if edges.total == n - 1:
+        result = reconstruct_starlike(n, profile, f, args.tol)
     else:
-        n1, _, m, _ = _point(obj)
-        tree, r = n1 == 1, m + n1 - 1
-    if tree:
-        result = reconstruct_starlike(obj.vertex_count, profile, f, args.tol)
-    else:
-        result = reconstruct_generalized(obj.vertex_count, r, profile, f, args.tol)
+        result = reconstruct_generalized(n, r, profile, f, args.tol)
     return {"index": f.name, **result.to_dict()}
 
 
@@ -158,9 +124,9 @@ def _cmd_distinguish(args) -> dict:
     items = _load_inputs(args)
     if len(items) != 2:
         raise UsageError("distinguish needs exactly two spec inputs")
-    a, b = items
-    if isinstance(a, Graph) or isinstance(b, Graph):
+    if args.graph:
         raise UsageError("distinguish compares specs; pass --starlike or --generalized twice")
+    a, b = items
     f = resolve_index(args.index)
     order = distinguish(a, b, f, args.tol)
     h_max = max(a.longest_path_length, b.longest_path_length)

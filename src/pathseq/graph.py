@@ -56,6 +56,21 @@ class Graph:
     def edge_count(self) -> int:
         return sum(len(nbrs) for nbrs in self.adjacency) // 2
 
+    # The input protocol a spec shares: see invariants.invariant_profile.
+    def longest_path(self, budget: int = DEFAULT_BUDGET) -> int:
+        return longest_path_length(self, budget)
+
+    def census(self, order: int, budget: int = DEFAULT_BUDGET) -> Census:
+        """Census of canonical degree sequences over all paths of one order;
+        empty, without a walk, for order >= n."""
+        if order >= self.vertex_count:
+            return Census(order=order, entries={})
+        return census_series(self, order, budget)[order]
+
+    def censuses(self, max_order: int, budget: int = DEFAULT_BUDGET) -> list[Census]:
+        """Censuses of orders 0..min(max_order, n - 1), from one walk."""
+        return census_series(self, min(max_order, self.vertex_count - 1), budget)
+
 
 @dataclass(frozen=True)
 class Census:
@@ -318,12 +333,7 @@ def census_series(
     return [Census(order=h, entries=dict(c)) for h, c in enumerate(counts)]
 
 
-def path_census(graph: Graph, order: int, budget: int = DEFAULT_BUDGET) -> Census:
-    """Census of canonical degree sequences over all paths of one order;
-    empty, without a walk, for order >= n."""
-    if order >= graph.vertex_count:
-        return Census(order=order, entries={})
-    return census_series(graph, order, budget)[order]
+path_census = Graph.census
 
 
 def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:

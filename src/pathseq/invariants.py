@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError
-from .graph import DEFAULT_BUDGET, Census, Graph, census_series, path_census
+from .graph import DEFAULT_BUDGET, Census
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ def builtin(name: str, param: float | None = None) -> InvariantFunction:
                 "index 'power' requires an exponent, e.g. 'power:0.5'"
             )
         alpha = float(param)
+        if not math.isfinite(alpha):
+            raise UnknownIndexError(f"index 'power' needs a finite exponent, got {param!r}")
 
         def _power(d: tuple[int, ...], _a: float = alpha) -> float:
             return math.prod(d) ** _a
@@ -144,19 +146,23 @@ def invariant_from_census(census: Census, f: InvariantFunction) -> float:
 
 
 def evaluate_invariant(
-    graph: Graph, order: int, f: InvariantFunction, budget: int = DEFAULT_BUDGET
+    obj, order: int, f: InvariantFunction, budget: int = DEFAULT_BUDGET
 ) -> float:
-    """Order-h invariant of a graph by path enumeration."""
-    return invariant_from_census(path_census(graph, order, budget), f)
+    """Order-h invariant of a Graph (by path enumeration) or a spec (in
+    closed form): f summed over obj.census(order, budget)."""
+    return invariant_from_census(obj.census(order, budget), f)
 
 
 def invariant_profile(
-    graph: Graph, f: InvariantFunction, max_order: int, budget: int = DEFAULT_BUDGET
+    obj, f: InvariantFunction, max_order: int, budget: int = DEFAULT_BUDGET
 ) -> list[float]:
-    """Invariant values for every order 0..max_order.
+    """Invariant values of a Graph or a spec for every order 0..max_order.
 
-    Orders beyond the longest path contribute zero; past n - 1 edges no
-    census is built.
+    obj.censuses(max_order, budget) stops at the last order that can have a
+    path (n - 1 edges for a graph, the longest path for a spec); the orders
+    past it are 0.0.
     """
-    series = census_series(graph, min(max_order, graph.vertex_count - 1), budget)
-    return [invariant_from_census(c, f) for c in series] + [0.0] * (max_order + 1 - len(series))
+    if max_order < 0:
+        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    values = [invariant_from_census(c, f) for c in obj.censuses(max_order, budget)]
+    return values + [0.0] * (max_order + 1 - len(values))

@@ -24,9 +24,8 @@ from .errors import (
     ProfileMismatchError,
     SizeMismatchError,
 )
-from .generalized import GenStarlikeSpec
-from .invariants import InvariantFunction
-from .starlike import StarlikeSpec, _closed_profile, _evaluate, mu_coefficient
+from .invariants import InvariantFunction, invariant_profile
+from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, mu_coefficient
 
 DEFAULT_TOL = 1e-9
 # how far a recovered branch count may sit from an integer
@@ -108,7 +107,7 @@ def _check_conditions(
             margin = abs((g[x] - g[y]) / (x - y) - base)
             if margin < min_a:
                 min_a = margin
-            if margin <= tol and ok_a:
+            if not margin > tol and ok_a:
                 ok_a, witness_a = False, (x, y)
     ok_b, witness_b, min_b = True, None, float("inf")
     for t in range(t_max + 1):
@@ -119,7 +118,7 @@ def _check_conditions(
             margin = abs(f((x,) + tail_leaf) - f((x,) + tail_inner) - swap)
             if margin < min_b:
                 min_b = margin
-            if margin <= tol and ok_b:
+            if not margin > tol and ok_b:
                 ok_b, witness_b = False, (t, x)
     return ConditionReport(
         family=family,
@@ -161,7 +160,7 @@ def check_generalized_conditions(
 class ReconstructionResult:
     """A rebuilt spec plus the per-order residuals of its validation."""
 
-    spec: StarlikeSpec | GenStarlikeSpec
+    spec: StarlikeSpec
     residuals: list[float] = field(compare=False)
 
     @property
@@ -169,12 +168,10 @@ class ReconstructionResult:
         return max(self.residuals)
 
     def to_dict(self) -> dict:
-        doc = self.spec.to_dict()
-        family = "generalized" if isinstance(self.spec, GenStarlikeSpec) else "starlike"
         return {
-            "family": family,
+            "family": "starlike" if self.spec.clique_size == 1 else "generalized",
             "n": self.spec.vertex_count,
-            **doc,
+            **self.spec.to_dict(),
             "max_residual": self.max_residual,
         }
 
@@ -280,7 +277,7 @@ def _reconstruct(
     star = StarlikeSpec.from_counts(_run_ladder(profile, f, point))
     spec = star if point[0] == 1 else GenStarlikeSpec(point[0], star)
 
-    check = _closed_profile(spec, f, len(profile) - 1)
+    check = invariant_profile(spec, f, len(profile) - 1)
     h = _first_difference(profile, check, tol)
     if h is not None:
         raise ProfileMismatchError(
@@ -330,8 +327,8 @@ def reconstruct_generalized(
 
 
 def distinguish(
-    a: StarlikeSpec | GenStarlikeSpec,
-    b: StarlikeSpec | GenStarlikeSpec,
+    a: StarlikeSpec,
+    b: StarlikeSpec,
     f: InvariantFunction,
     tol: float = DEFAULT_TOL,
 ) -> int | None:
@@ -340,7 +337,7 @@ def distinguish(
     Orders beyond both longest paths carry no information (both invariants
     are identically zero there), so the scan stops at the larger of the two.
     """
-    if type(a) is not type(b):
+    if (a.clique_size == 1) != (b.clique_size == 1):
         raise FamilyMismatchError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
         )
@@ -348,12 +345,12 @@ def distinguish(
         raise SizeMismatchError(
             f"vertex counts differ: {a.vertex_count} vs {b.vertex_count}"
         )
-    if isinstance(a, GenStarlikeSpec) and a.max_degree != b.max_degree:
+    if a.clique_size > 1 and a.max_degree != b.max_degree:
         raise SizeMismatchError(
             f"maximum degrees differ: {a.max_degree} vs {b.max_degree}"
         )
     h_max = max(a.longest_path_length, b.longest_path_length)
-    return _first_difference(_closed_profile(a, f, h_max), _closed_profile(b, f, h_max), tol)
+    return _first_difference(invariant_profile(a, f, h_max), invariant_profile(b, f, h_max), tol)
 
 
 def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -380,7 +377,7 @@ def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpe
         for parts in _partitions(n2 - 1):
             if len(parts) == m:
                 specs.append(GenStarlikeSpec(n1, StarlikeSpec.from_counts(Counter(parts))))
-    return sorted(specs, key=lambda s: (s.clique_size, s.star.branches))
+    return sorted(specs, key=lambda s: (s.clique_size, s.branches))
 
 
 @dataclass(frozen=True)
@@ -394,7 +391,7 @@ class SurveyReport:
     tolerance: float
     spec_count: int
     pairs_checked: int
-    collisions: list[tuple[StarlikeSpec | GenStarlikeSpec, StarlikeSpec | GenStarlikeSpec]]
+    collisions: list[tuple[StarlikeSpec, StarlikeSpec]]
 
     def to_dict(self) -> dict:
         doc = {
@@ -440,7 +437,7 @@ def survey_distinguishability(
         raise ValueError(f"unknown family {family!r}")
 
     h_max = max((s.longest_path_length for s in specs), default=0)
-    profiles = [_closed_profile(s, f, h_max) for s in specs]
+    profiles = [invariant_profile(s, f, h_max) for s in specs]
     k = min(SWEEP_ORDER, h_max)
     # a NaN is _close to nothing, so its spec cannot collide
     keyed = sorted((p[k], i) for i, p in enumerate(profiles) if p[k] == p[k])

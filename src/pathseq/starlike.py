@@ -7,44 +7,71 @@ leaf, or inside a branch; through the root or within a single branch), and
 each shape's degree sequence and multiplicity have closed forms in the
 branch-length counts. Censuses and invariants therefore need no enumeration.
 
-The closed forms here also cover the clique-coalesced family of
-generalized.py: a starlike tree is the clique-size-1 case, where every path
-through the clique has multiplicity zero.
+One spec class covers both families: a clique glued at the root (see
+generalized.py) is its clique_size, and a starlike tree is the clique-size-1
+case, where every path through the clique has multiplicity zero.
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import perm
 from typing import Callable, Iterator, Mapping
 
 from .errors import FormatError, InvalidSpecError
-from .graph import Census, Graph, build_graph, canonical_class
-from .invariants import InvariantFunction, invariant_from_census
+from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class
+from .invariants import (
+    InvariantFunction,
+    evaluate_invariant,
+    invariant_from_census,
+    invariant_profile,
+)
+
+
+def _is_int(value: object) -> bool:
+    """A JSON integer: json.load gives true/false as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int_branch(length: object, count: object) -> None:
+    if not (_is_int(length) and _is_int(count)):
+        raise InvalidSpecError(f"branch length {length!r} and count {count!r} must be integers")
 
 
 @dataclass(frozen=True)
 class StarlikeSpec:
-    """Branch-length multiset of a starlike tree.
+    """Branch-length multiset of a starlike tree, and the clique at its root.
 
     branches holds (length, count) pairs, strictly ascending in length with
     positive counts. The root degree is the total branch count and must be
-    at least three.
+    at least three. clique_size is 1 for a plain starlike tree; a clique of
+    3 or more vertices sharing its hub with the root makes a GenStarlikeSpec.
+
+    Like a Graph, a spec has longest_path, census and censuses; it needs no
+    budget and ignores the one it is given.
     """
 
     branches: tuple[tuple[int, int], ...]
+    clique_size: int = field(default=1, repr=False)
 
     def __post_init__(self) -> None:
+        n1 = self.clique_size
+        # the type follows the clique size, so a spec's class names its family
+        if not _is_int(n1) or n1 < 1 or (n1 >= 3) != isinstance(self, GenStarlikeSpec):
+            raise InvalidSpecError(
+                f"got clique size {n1!r}: a StarlikeSpec has 1, and a GenStarlikeSpec's"
+                " clique_size must be >= 3 (a 2-clique just adds a pendant branch;"
+                " use coalesce_spec to normalize)"
+            )
         prev = 0
         for length, count in self.branches:
+            _check_int_branch(length, count)
             if length <= prev:
-                raise InvalidSpecError(
-                    "branch lengths must be distinct and ascending"
-                )
+                raise InvalidSpecError("branch lengths must be positive, distinct and ascending")
             if count < 1:
                 raise InvalidSpecError(f"branch count for length {length} must be >= 1")
             prev = length
@@ -53,19 +80,18 @@ class StarlikeSpec:
                 f"a starlike tree needs at least 3 branches, got {self.root_degree}"
             )
 
-    @classmethod
-    def from_counts(cls, counts: Mapping[int, int]) -> "StarlikeSpec":
-        """Build from a length -> count mapping; zero counts are dropped."""
-        items = []
-        for length, count in sorted(counts.items()):
-            if count == 0:
-                continue
-            if not isinstance(length, int) or length < 1:
+    @staticmethod
+    def from_counts(counts: Mapping[int, int]) -> StarlikeSpec:
+        """Build a starlike spec from a length -> count mapping; zero counts are dropped."""
+        for length, count in counts.items():
+            _check_int_branch(length, count)
+        items = sorted(counts.items())
+        for length, count in items:
+            if count and length < 1:
                 raise InvalidSpecError(f"branch length {length!r} must be a positive integer")
-            if not isinstance(count, int) or count < 0:
+            if count < 0:
                 raise InvalidSpecError(f"branch count {count!r} must be a non-negative integer")
-            items.append((length, count))
-        return cls(tuple(items))
+        return StarlikeSpec(tuple((l, c) for l, c in items if c))
 
     @cached_property
     def branch_counts(self) -> dict[int, int]:
@@ -83,34 +109,75 @@ class StarlikeSpec:
         return self.branches[-1][0]
 
     @property
+    def max_degree(self) -> int:
+        """Degree of the hub (the root), the graph's maximum."""
+        return self.clique_size + self.root_degree - 1
+
+    @property
     def vertex_count(self) -> int:
-        return 1 + sum(l * c for l, c in self.branches)
+        return self.clique_size + sum(l * c for l, c in self.branches)
+
+    @property
+    def star(self) -> StarlikeSpec:
+        """The starlike tree without the clique."""
+        return StarlikeSpec(self.branches)
 
     @property
     def longest_path_length(self) -> int:
-        """Longest path: the two longest branches joined at the root."""
+        """Longest path: the two longest branches joined at the root, or the
+        longest branch run on through the clique."""
         longest, count = self.branches[-1]
-        if count >= 2:
-            return 2 * longest
-        return longest + self.branches[-2][0]
+        within_tree = 2 * longest if count >= 2 else longest + self.branches[-2][0]
+        return max(within_tree, self.clique_size - 1 + longest)
 
     def to_dict(self) -> dict:
-        return {
-            "branches": [{"length": l, "count": c} for l, c in self.branches]
-        }
+        doc = {"branches": [{"length": l, "count": c} for l, c in self.branches]}
+        return {"clique": self.clique_size, **doc} if self.clique_size > 1 else doc
+
+    def longest_path(self, budget: int = DEFAULT_BUDGET) -> int:
+        return self.longest_path_length
+
+    def census(self, order: int, budget: int = DEFAULT_BUDGET) -> Census:
+        """Closed-form census at any order >= 0; past the longest path it is
+        empty, and no term is built."""
+        if order > self.longest_path_length:
+            return Census(order=order, entries={})
+        return _nonnegative(merge_terms(_terms(order, *_point(self)), order))
+
+    def censuses(self, max_order: int, budget: int = DEFAULT_BUDGET) -> Iterator[Census]:
+        """Closed-form censuses of orders 0..min(max_order, longest path),
+        built one at a time as they are consumed."""
+        point = _point(self)
+        for h in range(min(max_order, self.longest_path_length) + 1):
+            yield _nonnegative(merge_terms(_terms(h, *point), h))
 
 
-def _point(spec) -> tuple[int, int, int, Mapping[int, int]]:
+class GenStarlikeSpec(StarlikeSpec):
+    """A clique on clique_size >= 3 vertices sharing one vertex with the star root."""
+
+    def __init__(self, clique_size: int, star: StarlikeSpec) -> None:
+        super().__init__(star.branches, clique_size)
+
+    def __repr__(self) -> str:
+        return f"GenStarlikeSpec(clique_size={self.clique_size!r}, star={self.star!r})"
+
+
+def _point(spec: StarlikeSpec) -> tuple[int, int, int, Mapping[int, int]]:
     """(n1, n2, m, L) of a spec: clique size, tree vertex count, branch count
-    and branch-length counts. A starlike tree is the clique-size-1 case."""
-    if isinstance(spec, StarlikeSpec):
-        return 1, spec.vertex_count, spec.root_degree, spec.branch_counts
-    star = spec.star
-    return spec.clique_size, star.vertex_count, star.root_degree, star.branch_counts
+    and branch-length counts."""
+    n1 = spec.clique_size
+    return n1, spec.vertex_count - n1 + 1, spec.root_degree, spec.branch_counts
 
 
-def _realize(spec) -> Graph:
-    """Build either spec's graph: the hub is vertex 0, a clique fills
+def _nonnegative(census: Census) -> Census:
+    """A spec's census; a negative multiplicity means the closed forms are inconsistent."""
+    if min(census.entries.values(), default=0) < 0:
+        raise AssertionError(f"negative multiplicity in the order-{census.order} census")
+    return census
+
+
+def _realize(spec: StarlikeSpec) -> Graph:
+    """Build a spec's graph: the hub is vertex 0, a clique fills
     1..n1-1, and the branches follow in ascending length."""
     n1, n2, _, L = _point(spec)
     edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
@@ -251,40 +318,13 @@ def _evaluate(
     return invariant_from_census(merge_terms(_terms(h, *point), h), f)
 
 
-def _closed_census(spec, order: int) -> Census:
-    """Closed-form census of either spec at any order >= 0; past the
-    longest path it is empty, and no term is built."""
-    if order > spec.longest_path_length:
-        return Census(order=order, entries={})
-    census = merge_terms(_terms(order, *_point(spec)), order)
-    for seq, count in census.entries.items():
-        if count < 0:
-            raise AssertionError(
-                f"negative multiplicity {count} for class {seq}; census formula inconsistency"
-            )
-    return census
 
-
-def _closed_invariant(spec, order: int, f: InvariantFunction) -> float:
-    """Order-h invariant of either spec: f summed over its closed census."""
-    return invariant_from_census(_closed_census(spec, order), f)
-
-
-def _closed_profile(spec, f: InvariantFunction, max_order: int) -> list[float]:
-    """Closed-form invariant values of either spec for orders 0..max_order;
-    orders past the longest path are 0.0 without evaluation."""
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    point, rho = _point(spec), spec.longest_path_length
-    values = [_evaluate(point, h, f) for h in range(min(max_order, rho) + 1)]
-    return values + [0.0] * (max_order - rho)
-
-
-# Public names of both families; each accepts either spec.
+# Public names of both families; each accepts either spec, and the
+# invariant and profile accept graphs too.
 realize_starlike = _realize
-starlike_census = _closed_census
-starlike_invariant = _closed_invariant
-starlike_profile = _closed_profile
+starlike_census = StarlikeSpec.census
+starlike_invariant = evaluate_invariant
+starlike_profile = invariant_profile
 
 
 def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
@@ -325,11 +365,6 @@ def tail_coefficients(
     base = {1: count_len1, 2: count_len2}
     zero = _evaluate((1, 0, m, base), h, f)
     return tuple(_evaluate((1, 0, m, {**base, k: 1}), h, f) - zero for k in (h - 2, h - 1, h))
-
-
-def _is_int(value: object) -> bool:
-    """A JSON integer: json.load gives true/false as bool, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_starlike_spec(doc: object) -> StarlikeSpec:

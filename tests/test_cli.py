@@ -224,6 +224,20 @@ def test_unknown_index_maps_to_error_object(capsys, spider_file):
     assert doc["error"]["type"] == "UnknownIndex"
 
 
+@pytest.mark.parametrize("index", ["power:nan", "power:inf"])
+@pytest.mark.parametrize("command", ["invariant", "check-conditions"])
+def test_non_finite_power_is_an_unknown_index(capsys, spider_file, index, command):
+    argv = {
+        "invariant": ("--starlike", spider_file, "--order", "2"),
+        "check-conditions": ("--theorem", "7"),
+    }
+    code, out = run(capsys, command, *argv[command], "--index", index)
+    assert code == 1
+    # strict JSON: NaN and Infinity are not JSON numbers
+    doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
+    assert doc["error"]["type"] == "UnknownIndex"
+
+
 def test_missing_input_is_a_usage_error(capsys):
     code = main(["invariant", "--index", "connectivity", "--order", "2"])
     assert code == 2

@@ -15,7 +15,6 @@ from pathseq import (
     coalesce_spec,
     generalized_census,
     generalized_invariant,
-    generalized_mu,
     generalized_profile,
     load_generalized_spec,
     longest_path_length,
@@ -40,6 +39,21 @@ def test_spec_basic_properties(glued):
 def test_spec_rejects_small_clique(spider):
     with pytest.raises(InvalidSpecError):
         GenStarlikeSpec(clique_size=2, star=spider)
+
+
+@pytest.mark.parametrize("clique_size", [3.0, "3", True, None])
+def test_spec_rejects_a_clique_size_that_is_not_an_int(spider, clique_size):
+    with pytest.raises(InvalidSpecError):
+        GenStarlikeSpec(clique_size, spider)
+
+
+def test_spec_is_the_starlike_spec_with_a_clique(spider, glued):
+    assert isinstance(glued, StarlikeSpec) and glued.star == spider
+    assert (glued.clique_size, glued.branches) == (4, spider.branches)
+    assert glued == GenStarlikeSpec(star=spider, clique_size=4) != spider
+    assert spider.clique_size == 1 and spider.max_degree == spider.root_degree
+    assert not isinstance(spider, GenStarlikeSpec)
+    assert repr(glued) == f"GenStarlikeSpec(clique_size=4, star={spider!r})"
 
 
 def test_coalesce_normalizes_an_edge_clique():
@@ -141,19 +155,13 @@ def test_negative_max_order_is_rejected(glued):
         generalized_profile(glued, builtin("connectivity"), -1)
 
 
-def test_generalized_mu_reduces_to_starlike_with_hub_degree():
-    f = builtin("connectivity")
-    for h in (2, 4):
-        for m in (3, 5):
-            for n1 in (3, 4, 6):
-                assert generalized_mu(f, h, m, n1) == mu_coefficient(f, h, m + n1 - 1)
+def test_hub_degree_slope_frozen_value():
+    # the coalesced slope is the starlike one at hub degree m + n1 - 1
+    m, n1 = 3, 3
+    assert mu_coefficient(builtin("hyper-zagreb"), 2, m + n1 - 1) == -252.0
 
 
-def test_generalized_mu_frozen_value():
-    assert generalized_mu(builtin("hyper-zagreb"), 2, 3, 3) == -252.0
-
-
-def test_generalized_mu_is_the_branch_count_slope():
+def test_hub_degree_slope_is_the_branch_count_slope():
     # replace one long filler branch by the probed length, keeping n, m and
     # every shorter count fixed; branches longer than h are interchangeable
     f = builtin("connectivity")
@@ -162,7 +170,7 @@ def test_generalized_mu_is_the_branch_count_slope():
     b = GenStarlikeSpec(n1, StarlikeSpec.from_counts({h: 1, 8: 1, 10: 1}))
     assert a.vertex_count == b.vertex_count
     delta = generalized_invariant(b, h, f) - generalized_invariant(a, h, f)
-    assert close(generalized_mu(f, h, m, n1), delta, tol=1e-11)
+    assert close(mu_coefficient(f, h, m + n1 - 1), delta, tol=1e-11)
 
 
 def test_parse_round_trip(glued):

@@ -50,6 +50,14 @@ def test_builtin_rejects_bad_requests():
         builtin("connectivity", 2.0)
 
 
+@pytest.mark.parametrize("text", ["power:nan", "power:inf", "power:-inf"])
+def test_power_rejects_a_non_finite_exponent(text):
+    with pytest.raises(UnknownIndexError, match="finite exponent"):
+        resolve_index(text)
+    with pytest.raises(UnknownIndexError):
+        builtin("power", float(text.partition(":")[2]))
+
+
 def test_invariant_function_accepts_lists():
     f = builtin("connectivity")
     assert f([2, 3]) == f((2, 3))

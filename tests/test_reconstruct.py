@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from oracle import close
@@ -57,6 +59,14 @@ def test_constant_index_fails_both_conditions():
     assert not report.passed
     assert report.counterexample_a == (3, 4)
     assert report.counterexample_b == (0, 3)
+
+
+@pytest.mark.parametrize("check", [check_starlike_conditions, check_generalized_conditions])
+def test_nan_index_fails_both_conditions(check):
+    # NaN compares false both ways: a NaN margin is no margin
+    report = check(InvariantFunction("nan", lambda d: math.nan), x_max=6, t_max=2)
+    assert not report.condition_a and not report.condition_b
+    assert report.counterexample_a == (3, 4) and report.counterexample_b == (0, 3)
 
 
 def test_degree_sum_fails_starlike_slope_condition():

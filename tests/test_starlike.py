@@ -62,6 +62,24 @@ def test_spec_rejects_non_integer_entries():
         StarlikeSpec.from_counts({1: "3", 2: 1})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: StarlikeSpec(((1, 2.5), (2, 1))),
+        lambda: StarlikeSpec(((1.0, 3),)),
+        lambda: StarlikeSpec(((1, True), (2, 2))),
+        lambda: StarlikeSpec.from_counts({"a": 0, 1: 3}),
+        # a clique of 3 or more needs GenStarlikeSpec
+        lambda: StarlikeSpec(((1, 3),), 4),
+        lambda: StarlikeSpec(((1, 3),), 1.0),
+    ],
+    ids=["fractional-count", "float-length", "bool-count", "unsortable-keys", "clique-4", "clique-1.0"],
+)
+def test_spec_constructor_requires_integers(build):
+    with pytest.raises(InvalidSpecError):
+        build()
+
+
 def test_spec_constructor_requires_sorted_distinct_lengths():
     with pytest.raises(InvalidSpecError):
         StarlikeSpec(branches=((2, 1), (1, 2)))
