@@ -24,8 +24,8 @@ from .errors import (
     ProfileMismatchError,
     SizeMismatchError,
 )
-from .invariants import InvariantFunction, invariant_profile
-from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, mu_coefficient
+from .invariants import InvariantFunction, invariant_from_census, invariant_profile
+from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient
 
 DEFAULT_TOL = 1e-9
 # how far a recovered branch count may sit from an integer
@@ -326,6 +326,63 @@ def reconstruct_generalized(
     return _reconstruct(profile, f, candidates, "clique size", f"3..{max_degree - 2}", tol)
 
 
+class _LazyRows:
+    """Invariant values of a list of specs, evaluated as comparisons reach them.
+
+    The order-h value of a spec depends only on its clique size, tree size,
+    root degree and counts of branches of length <= h (the paper's first
+    result: _terms reads no longer branch), so it is computed once per such
+    prefix, from the census of the first spec that reaches it, and is
+    bit-identical for every spec that shares the prefix. Past a spec's
+    longest path every value is 0.0; there the prefix is the whole spec.
+    Each spec keeps its own row of values, extended only as far as it is
+    read. Lives for one call.
+    """
+
+    def __init__(self, specs: list[StarlikeSpec], f: InvariantFunction) -> None:
+        self.specs = specs
+        self.f = f
+        self.rows: list[list[float]] = [[] for _ in specs]
+        self.rho = [s.longest_path_length for s in specs]
+        # each row's prefix id at its last order
+        self.prefix = [-1] * len(specs)
+        # (n1, n2, m) at order 0, then (prefix id, count of length h) -> prefix id
+        self.ids: dict[tuple, int] = {}
+        self.values: list[float] = []
+
+    def value(self, i: int, h: int) -> float:
+        """Spec i's order-h value, extending its row through h."""
+        row = self.rows[i]
+        if h < len(row):
+            return row[h]
+        spec = self.specs[i]
+        while len(row) <= min(h, self.rho[i]):
+            order = len(row)
+            key = (self.prefix[i], spec.count(order)) if order else _point(spec)[:3]
+            node = self.ids.get(key)
+            if node is None:
+                node = self.ids[key] = len(self.values)
+                self.values.append(invariant_from_census(spec.census(order), self.f))
+            self.prefix[i] = node
+            row.append(self.values[node])
+        row.extend([0.0] * (h + 1 - len(row)))
+        return row[h]
+
+    def first_difference(self, i: int, j: int, h_max: int, tol: float) -> int | None:
+        """First order <= h_max at which specs i and j are not _close, else None.
+
+        x - y is 0.0 exactly when x and y are equal and finite, and such
+        values are _close at every tol >= 0, which the callers check.
+        """
+        a, b = self.rows[i], self.rows[j]
+        for h in range(h_max + 1):
+            x = a[h] if h < len(a) else self.value(i, h)
+            y = b[h] if h < len(b) else self.value(j, h)
+            if x - y and not _close(x, y, tol):
+                return h
+        return None
+
+
 def distinguish(
     a: StarlikeSpec,
     b: StarlikeSpec,
@@ -336,7 +393,10 @@ def distinguish(
 
     Orders beyond both longest paths carry no information (both invariants
     are identically zero there), so the scan stops at the larger of the two.
+    Orders are evaluated one at a time, and none past the separating order.
     """
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
     if (a.clique_size == 1) != (b.clique_size == 1):
         raise FamilyMismatchError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
@@ -350,7 +410,7 @@ def distinguish(
             f"maximum degrees differ: {a.max_degree} vs {b.max_degree}"
         )
     h_max = max(a.longest_path_length, b.longest_path_length)
-    return _first_difference(invariant_profile(a, f, h_max), invariant_profile(b, f, h_max), tol)
+    return _LazyRows([a, b], f).first_difference(0, 1, h_max, tol)
 
 
 def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -419,11 +479,11 @@ def survey_distinguishability(
 ) -> SurveyReport:
     """Find every unordered pair of same-size specs whose profiles collide.
 
-    Specs are sorted by their value at SWEEP_ORDER, and whole profiles are
-    compared only for pairs _close there. For x <= y and 0 <= tol < 1,
-    y - x - tol * max(1, |x|, |y|) strictly increases in y, so the walk
-    forward from each spec can stop at the first value not _close. The
-    collisions come out in all-pairs order.
+    Specs are sorted by their value at SWEEP_ORDER, and only pairs _close
+    there are compared further, order by order up to their first
+    difference. For x <= y and 0 <= tol < 1, y - x - tol * max(1, |x|, |y|)
+    strictly increases in y, so the walk forward from each spec can stop at
+    the first value not _close. The collisions come out in all-pairs order.
     """
     if not 0 <= tol < 1:
         raise ValueError(f"survey tolerance must lie in [0, 1), got {tol!r}")
@@ -437,16 +497,17 @@ def survey_distinguishability(
         raise ValueError(f"unknown family {family!r}")
 
     h_max = max((s.longest_path_length for s in specs), default=0)
-    profiles = [invariant_profile(s, f, h_max) for s in specs]
+    rows = _LazyRows(specs, f)
     k = min(SWEEP_ORDER, h_max)
+    swept = [rows.value(i, k) for i in range(len(specs))]
     # a NaN is _close to nothing, so its spec cannot collide
-    keyed = sorted((p[k], i) for i, p in enumerate(profiles) if p[k] == p[k])
+    keyed = sorted((x, i) for i, x in enumerate(swept) if x == x)
     pairs = []
     for a, (x, i) in enumerate(keyed):
         b = a + 1
         while b < len(keyed) and _close(x, keyed[b][0], tol):
             j = keyed[b][1]
-            if _first_difference(profiles[i], profiles[j], tol) is None:
+            if rows.first_difference(i, j, h_max, tol) is None:
                 pairs.append((min(i, j), max(i, j)))
             b += 1
     return SurveyReport(

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 from oracle import close
+from pathseq import register_invariant
 from pathseq.cli import _build_parser, _emit, main
 
 SPIDER = {"branches": [{"length": 1, "count": 1}, {"length": 2, "count": 2}]}
@@ -236,6 +238,35 @@ def test_non_finite_power_is_an_unknown_index(capsys, spider_file, index, comman
     # strict JSON: NaN and Infinity are not JSON numbers
     doc = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} in output"))
     assert doc["error"]["type"] == "UnknownIndex"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("invariant", "--starlike", "@spider", "--order", "2"),
+        ("profile", "--starlike", "@spider"),
+        ("check-conditions", "--theorem", "7"),
+        ("check-conditions", "--theorem", "8"),
+    ],
+)
+def test_non_finite_index_value_is_an_index_evaluation_error(capsys, spider_file, argv, value, fmt):
+    register_invariant("non-finite", lambda d: value)
+    argv = [spider_file if a == "@spider" else a for a in argv]
+    code, out = run(capsys, *argv, "--index", "non-finite", "--format", fmt)
+    assert code == 1
+
+    def strict(name):
+        pytest.fail(f"{name} in output")
+
+    if fmt == "csv":
+        ((key, cell),) = csv.reader(io.StringIO(out))
+        assert key == "error"
+        error = json.loads(cell, parse_constant=strict)
+    else:
+        error = json.loads(out, parse_constant=strict)["error"]
+    assert error["type"] == "IndexEvaluation"
 
 
 def test_missing_input_is_a_usage_error(capsys):

@@ -258,6 +258,13 @@ def test_distinguish_same_spec_is_none(spider):
     assert distinguish(spider, spider, CONN) is None
 
 
+@pytest.mark.parametrize("tol", [-1e-9, math.nan])
+def test_distinguish_rejects_a_tolerance_below_zero(spider, tol):
+    # no value is within a negative tolerance of itself
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        distinguish(spider, spider, CONN, tol)
+
+
 def test_distinguish_reports_first_separating_order():
     a = StarlikeSpec.from_counts({1: 2, 2: 2})
     b = StarlikeSpec.from_counts({1: 3, 3: 1})

@@ -10,6 +10,7 @@ from conftest import starlike_sweep
 from oracle import close, graph_edges, oracle_census, oracle_invariant, oracle_longest_path
 from pathseq import (
     FormatError,
+    GenStarlikeSpec,
     InvalidSpecError,
     StarlikeSpec,
     builtin,
@@ -268,6 +269,37 @@ def test_census_property_random_specs(counts):
     for order in (2, 3, rho, rho + 1):
         got = dict(starlike_census(spec, order).entries)
         assert got == oracle_census(g.vertex_count, edges, order)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_census_reads_no_branch_longer_than_its_order(data):
+    """Theorem 1: the order-h census of a spec is fixed by its vertex count,
+    clique size, root degree and counts of branches of length <= h."""
+    h = data.draw(st.integers(0, 8), label="h")
+    clique = data.draw(st.sampled_from([1, 3, 4, 6]), label="clique")
+    short = data.draw(st.lists(st.integers(1, h), max_size=4), label="short") if h else []
+    k = data.draw(st.integers(max(2, 3 - len(short)), 5), label="long branches")
+    tail_a = data.draw(st.lists(st.integers(h + 1, h + 6), min_size=k, max_size=k), label="tail")
+    # move length between long branches: same count and total, every branch still > h
+    tail_b = list(tail_a)
+    for i, j, d in data.draw(
+        st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 5)),
+                 min_size=1, max_size=3),
+        label="moves",
+    ):
+        if tail_b[i] - d > h:
+            tail_b[i] -= d
+            tail_b[j] += d
+
+    def spec(lengths):
+        star = StarlikeSpec.from_counts(Counter(lengths))
+        return star if clique == 1 else GenStarlikeSpec(clique, star)
+
+    a, b = spec(short + tail_a), spec(short + tail_b)
+    assert (a.vertex_count, a.root_degree) == (b.vertex_count, b.root_degree)
+    assert all(a.count(length) == b.count(length) for length in range(1, h + 1))
+    assert a.census(h) == b.census(h)
 
 
 def test_closed_forms_past_longest_path_build_no_terms(monkeypatch):
