@@ -69,7 +69,7 @@ class Graph:
 
     def censuses(self, max_order: int, budget: int = DEFAULT_BUDGET) -> list[Census]:
         """Censuses of orders 0..min(max_order, n - 1), from one walk."""
-        return census_series(self, min(max_order, self.vertex_count - 1), budget)
+        return census_series(self, max_order, budget)
 
 
 @dataclass(frozen=True)
@@ -210,8 +210,8 @@ def _walk(
     graph: Graph,
     max_length: int,
     budget: int,
+    keys: Sequence,
     twins: tuple | None = None,
-    keys: Sequence | None = None,
 ) -> Iterator[tuple[list, int]]:
     """Budgeted depth-first walk over every path of at most max_length edges,
     stepping onto each twin class once.
@@ -224,11 +224,12 @@ def _walk(
     vertex extensions, and W, the product of the k's along the trail, is the
     number of oriented vertex paths behind it. Each class sequence whose
     first class is <= its last is yielded once, as (trail, count). trail
-    lists its vertices, or keys[v] for them when keys is given; it is
-    extended and shrunk in place as the walk moves, so a consumer copies
-    what it keeps. count is the number of paths it stands for: W, or W // 2
-    when a sequence with an edge starts and ends in one class (its reverse
-    is yielded too, or it is its own reverse).
+    lists keys[v] for each vertex v on the path (range(n) as keys lists the
+    vertices), and its length is the depth; it is extended and shrunk in
+    place as the walk moves, so a consumer copies what it keeps. count is
+    the number of paths it stands for: W, or W // 2 when a sequence with an
+    edge starts and ends in one class (its reverse is yielded too, or it is
+    its own reverse).
 
     Every step is one node expansion, and meeting a twin that is not stepped
     onto charges the expansions of its smaller twin's subtree. The walk thus
@@ -240,8 +241,7 @@ def _walk(
     adj = graph.adjacency
     label, rank, sizes = twins or (range(n), [0] * n, [1] * n)
     used = [0] * len(sizes)
-    verts: list[int] = []
-    trail = verts if keys is None else []
+    trail: list = []
     # per step on the path: (W, expansions before the step, class, k), after
     # a root sentinel
     frames = [(1, 0, -1, 1)]
@@ -255,14 +255,12 @@ def _walk(
         w = next(stack[-1], None)
         if w is None:
             stack.pop()
-            if verts:
-                verts.pop()
-                if keys is not None:
-                    trail.pop()
+            if trail:
+                trail.pop()
                 _, before, c, k = frames.pop()
                 used[c] -= 1
                 if k > 1:
-                    walked[len(verts), c] = expansions - before
+                    walked[len(trail), c] = expansions - before
             continue
         c = label[w]
         # a class's used members are its smallest, so w is on the path
@@ -271,7 +269,7 @@ def _walk(
         behind = rank[w] - used[c]
         if behind:
             if behind > 0:
-                expansions += walked[len(verts), c]
+                expansions += walked[len(trail), c]
                 if expansions > budget:
                     raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
             continue
@@ -280,15 +278,13 @@ def _walk(
             raise BudgetExceededError(f"node-expansion budget {budget} exceeded")
         k = sizes[c] - used[c]
         used[c] += 1
-        verts.append(w)
-        if keys is not None:
-            trail.append(keys[w])
+        trail.append(keys[w])
         weight = frames[-1][0] * k
         frames.append((weight, expansions - 1, c, k))
         first = frames[1][2]
         if first <= c:
-            yield trail, weight // 2 if first == c and len(verts) > 1 else weight
-        stack.append(iter(adj[w]) if len(verts) <= max_length else iter(()))
+            yield trail, weight // 2 if first == c and len(trail) > 1 else weight
+        stack.append(iter(adj[w]) if len(trail) <= max_length else iter(()))
 
 
 def enumerate_paths(
@@ -304,7 +300,7 @@ def enumerate_paths(
         raise ValueError(f"order must be >= 0, got {order}")
     if order >= graph.vertex_count:
         return
-    for trail, _ in _walk(graph, order, budget):
+    for trail, _ in _walk(graph, order, budget, range(graph.vertex_count)):
         if len(trail) > order:
             yield tuple(trail)
 
@@ -312,24 +308,23 @@ def enumerate_paths(
 def census_series(
     graph: Graph, max_order: int, budget: int = DEFAULT_BUDGET
 ) -> list[Census]:
-    """Censuses for every order 0..max_order from a single exhaustive walk.
+    """Censuses for every order 0..min(max_order, n - 1) from one walk.
 
     Costs the same node expansions as enumerating the deepest order alone,
     since a depth-limited walk visits every shorter path as a prefix anyway.
-    No path has n or more edges, so the walk stops at n - 1 and the orders
-    past it get empty censuses. The walk is over twin classes, and each class
-    sequence adds the number of paths it stands for; the budget is charged
-    one expansion per oriented vertex path all the same.
+    No path has n or more edges, so the walk and the list stop at n - 1.
+    The walk is over twin classes, and each class sequence adds the number
+    of paths it stands for; the budget is charged one expansion per
+    oriented vertex path all the same.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     depth = min(max_order, graph.vertex_count - 1)
     counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(depth + 1)]
-    for trail, count in _walk(graph, depth, budget, _twins(graph), graph.degrees):
+    for trail, count in _walk(graph, depth, budget, graph.degrees, _twins(graph)):
         seq = tuple(trail)
         rev = seq[::-1]
         counts[len(seq) - 1][seq if seq <= rev else rev] += count
-    counts += [{}] * (max_order - depth)
     return [Census(order=h, entries=dict(c)) for h, c in enumerate(counts)]
 
 
@@ -350,7 +345,7 @@ def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
         dist = _distances(graph, 0)
         return max(_distances(graph, dist.index(max(dist))))
     best = 0
-    for trail, _ in _walk(graph, n - 1, budget, _twins(graph)):
+    for trail, _ in _walk(graph, n - 1, budget, range(n), _twins(graph)):
         if len(trail) - 1 > best:
             best = len(trail) - 1
             if best == n - 1:

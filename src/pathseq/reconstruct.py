@@ -235,12 +235,11 @@ def _run_ladder(
 
 def _hub_splits(n: int, r: int) -> Iterator[tuple[int, int, int]]:
     """(n1, n2, m) for each clique size n1 >= 3 that leaves a tree on n2
-    vertices with m >= 3 branches, given n vertices and hub degree r."""
-    for n1 in range(3, r - 1):
-        m = r + 1 - n1
-        n2 = n - n1 + 1
-        if m >= 3 and n2 - 1 >= m:
-            yield n1, n2, m
+    vertices with m = r + 1 - n1 >= 3 branches, given n vertices and hub
+    degree r. Those m branches need n2 - 1 = n - n1 >= m vertices: n > r."""
+    if n > r:
+        for n1 in range(3, r - 1):
+            yield n1, n - n1 + 1, r + 1 - n1
 
 
 def _reconstruct(
@@ -334,16 +333,15 @@ class _LazyRows:
     result: _terms reads no longer branch), so it is computed once per such
     prefix, from the census of the first spec that reaches it, and is
     bit-identical for every spec that shares the prefix. Past a spec's
-    longest path every value is 0.0; there the prefix is the whole spec.
-    Each spec keeps its own row of values, extended only as far as it is
-    read. Lives for one call.
+    longest path its census is empty and the value 0.0; there the prefix is
+    the whole spec. Each spec keeps its own row of values, extended only as
+    far as it is read. Lives for one call.
     """
 
     def __init__(self, specs: list[StarlikeSpec], f: InvariantFunction) -> None:
         self.specs = specs
         self.f = f
         self.rows: list[list[float]] = [[] for _ in specs]
-        self.rho = [s.longest_path_length for s in specs]
         # each row's prefix id at its last order
         self.prefix = [-1] * len(specs)
         # (n1, n2, m) at order 0, then (prefix id, count of length h) -> prefix id
@@ -356,7 +354,7 @@ class _LazyRows:
         if h < len(row):
             return row[h]
         spec = self.specs[i]
-        while len(row) <= min(h, self.rho[i]):
+        while len(row) <= h:
             order = len(row)
             key = (self.prefix[i], spec.count(order)) if order else _point(spec)[:3]
             node = self.ids.get(key)
@@ -365,7 +363,6 @@ class _LazyRows:
                 self.values.append(invariant_from_census(spec.census(order), self.f))
             self.prefix[i] = node
             row.append(self.values[node])
-        row.extend([0.0] * (h + 1 - len(row)))
         return row[h]
 
     def first_difference(self, i: int, j: int, h_max: int, tol: float) -> int | None:
@@ -488,6 +485,8 @@ def survey_distinguishability(
     if not 0 <= tol < 1:
         raise ValueError(f"survey tolerance must lie in [0, 1), got {tol!r}")
     if family == "starlike":
+        if max_degree is not None:
+            raise ValueError("starlike survey takes no hub degree")
         specs: list = starlike_specs(vertex_count)
     elif family == "generalized":
         if max_degree is None:

@@ -142,14 +142,14 @@ class StarlikeSpec:
         empty, and no term is built."""
         if order > self.longest_path_length:
             return Census(order=order, entries={})
-        return _nonnegative(merge_terms(_terms(order, *_point(self)), order))
+        return _nonnegative(merge_terms(order, _point(self)))
 
     def censuses(self, max_order: int, budget: int = DEFAULT_BUDGET) -> Iterator[Census]:
         """Closed-form censuses of orders 0..min(max_order, longest path),
         built one at a time as they are consumed."""
         point = _point(self)
         for h in range(min(max_order, self.longest_path_length) + 1):
-            yield _nonnegative(merge_terms(_terms(h, *point), h))
+            yield _nonnegative(merge_terms(h, point))
 
 
 class GenStarlikeSpec(StarlikeSpec):
@@ -292,17 +292,16 @@ def _terms(
             yield (c,) * a + (R,) + (2,) * (h - a - 1) + (1,), count
 
 
-def merge_terms(
-    terms: Iterator[tuple[tuple[int, ...], int]], order: int
-) -> Census:
-    """Canonicalize and merge a stream of class terms.
+def merge_terms(order: int, point: tuple[int, int, int, Mapping[int, int]]) -> Census:
+    """Census of one order at a point (n1, n2, m, L): its class terms from
+    _terms, canonicalized and merged.
 
     Shapes that share a degree sequence (a 3-clique's outer vertices look
     like branch-interior vertices) become one class, so an invariant summed
     over the census makes one f call per class, as enumeration does.
     """
     merged: dict[tuple[int, ...], int] = defaultdict(int)
-    for seq, count in terms:
+    for seq, count in _terms(order, *point):
         merged[canonical_class(seq)] += count
     return Census(order=order, entries=dict(merged))
 
@@ -315,7 +314,7 @@ def _evaluate(
     Reconstruction evaluates points with missing branches, where some
     multiplicities go negative; no validation on purpose.
     """
-    return invariant_from_census(merge_terms(_terms(h, *point), h), f)
+    return invariant_from_census(merge_terms(h, point), f)
 
 
 

@@ -1,6 +1,7 @@
-"""The benchmark's closed-form workloads, run through its own worker and
-checker: a renamed library name, or a spec whose type or .star breaks the
-worker's spec keys, fails here instead of in a timed benchmark run."""
+"""The benchmark's closed-form and graph workloads, run through its own
+worker and checker: a renamed library name, a spec whose type or .star
+breaks the worker's spec keys, or a graph census that no longer raises at
+the budget job's budget fails here instead of in a timed benchmark run."""
 
 import os
 import sys
@@ -14,7 +15,7 @@ import gen  # noqa: E402
 import worker  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", ["closed_form_deep", "survey_slices"])
+@pytest.mark.parametrize("workload", ["closed_form_deep", "survey_slices", "enumerate_graphs"])
 def test_benchmark_closed_form_jobs_answer_right(tmp_path, workload):
     inputs = gen.generate(workload, 1)
     gen.write(inputs, str(tmp_path))

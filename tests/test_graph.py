@@ -198,13 +198,21 @@ def test_enumerate_paths_order_zero_charges_budget(path5):
 def test_orders_past_n_minus_one_edges_walk_no_further(path5, walk_below_n):
     series = census_series(path5, 12)
     assert series[:5] == [path_census(path5, h) for h in range(5)]
-    assert series[5:] == [Census(order=h, entries={}) for h in range(5, 13)]
+    assert series[5:] == []
     order = 10**5
     assert path_census(path5, order) == Census(order=order, entries={})
     f = builtin("connectivity")
     profile = invariant_profile(path5, f, order)
     assert profile[:5] == invariant_profile(path5, f, 4)
     assert len(profile) == order + 1 and not any(profile[5:])
+
+
+def test_census_series_lists_no_order_past_n_minus_one_edges():
+    # the list stops at n - 1 edges, however large max_order is
+    k8 = build_graph(8, _clique(8))
+    series = census_series(k8, 10**4)
+    assert [c.order for c in series] == list(range(8))
+    assert series == k8.censuses(10**4) == census_series(k8, 7)
 
 
 def test_enumerate_paths_past_n_minus_one_edges_walks_nothing(k4, walk_below_n):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -300,6 +301,26 @@ def test_generalized_specs_enumeration():
     assert all(s.vertex_count == 10 and s.max_degree == 6 for s in specs)
     cliques = {s.clique_size for s in specs}
     assert cliques == {3, 4}
+
+
+def test_hub_degree_of_n_or_more_leaves_no_clique_size_to_scan():
+    # the m = r + 1 - n1 branches need n - n1 >= m vertices, i.e. n > r, so
+    # a hub degree of 10**7 on 12 vertices has no spec, found without
+    # scanning its 10**7 clique sizes
+    start = time.thread_time()
+    assert generalized_specs(12, 10**7) == []
+    assert generalized_specs(12, 12) == []
+    # r = n - 1: clique 3 and nine length-1 branches, up to clique 9 and three
+    assert [s.clique_size for s in generalized_specs(12, 11)] == list(range(3, 10))
+    profile = generalized_profile(generalized_specs(12, 8)[0], CONN, 3)
+    with pytest.raises(NoCandidateRootError):
+        reconstruct_generalized(12, 10**7, profile, CONN)
+    assert time.thread_time() - start < 0.05
+
+
+def test_starlike_survey_rejects_a_hub_degree():
+    with pytest.raises(ValueError, match="hub degree"):
+        survey_distinguishability(8, CONN, "starlike", max_degree=5)
 
 
 def test_survey_connectivity_has_no_collisions():
