@@ -24,11 +24,10 @@ from .invariants import evaluate_invariant, invariant_profile, resolve_index
 from .reconstruct import (
     DEFAULT_TOL,
     _first_difference,
+    _reconstruct,
     check_generalized_conditions,
     check_starlike_conditions,
     distinguish,
-    reconstruct_generalized,
-    reconstruct_starlike,
     survey_distinguishability,
 )
 from .starlike import load_starlike_spec, realize_starlike
@@ -110,13 +109,10 @@ def _cmd_reconstruct(args) -> dict:
     obj = _single_input(args)
     f = resolve_index(args.index)
     profile = invariant_profile(obj, f, obj.longest_path(args.budget), args.budget)
-    # the censuses pick the family: n vertices, hub degree r, and a tree is starlike
+    # the censuses pick the family slice: n vertices, and hub degree r unless a tree
     vertices, edges = obj.census(0, args.budget), obj.census(1, args.budget)
     n, (r,) = vertices.total, max(vertices.entries)
-    if edges.total == n - 1:
-        result = reconstruct_starlike(n, profile, f, args.tol)
-    else:
-        result = reconstruct_generalized(n, r, profile, f, args.tol)
+    result = _reconstruct(n, None if edges.total == n - 1 else r, profile, f, args.tol)
     return {"index": f.name, **result.to_dict()}
 
 
@@ -234,7 +230,7 @@ _FLAGS = {
     "order": {"type": _at_least(0), "required": True},
     "max-order": {"type": _at_least(0), "default": None},
     "theorem": {"type": int, "choices": (7, 8), "required": True},
-    # condition (a) scans pairs 3 <= x < y <= x_max: 4 is the least domain with one
+    # condition (a) scans degrees x < y <= x_max from 3, or 2 for theorem 8: 4 gives both a pair
     "x-max": {"type": _at_least(4), "default": 64},
     "t-max": {"type": _at_least(0), "default": 32},
     "family": {"choices": ("starlike", "generalized"), "default": "starlike"},

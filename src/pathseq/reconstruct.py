@@ -11,8 +11,8 @@ profile reproduces the input within tolerance.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterator
 
 from .errors import (
@@ -44,6 +44,18 @@ def _close(a: float, b: float, tol: float) -> bool:
 def _first_difference(a: list[float], b: list[float], tol: float) -> int | None:
     """First order at which two profiles are not _close, else None."""
     return next((h for h, (x, y) in enumerate(zip(a, b)) if not _close(x, y, tol)), None)
+
+
+def _order0_points(n: int, r: int | None = None) -> dict[int, tuple[int, int, int]]:
+    """The order-0 unknowns of a family slice: each value the candidate scan
+    reads, mapped to its point (n1, n2, m). Starlike trees on n vertices (r
+    is None) have root degrees 3 <= m < n. Clique-coalesced ones with hub
+    degree r have clique sizes n1 >= 3 leaving m = r + 1 - n1 >= 3 branches,
+    which need n2 - 1 = n - n1 >= m vertices, so n > r. Reconstruction, spec
+    listing and condition (a) all read this table."""
+    if r is None:
+        return {m: (1, n, m) for m in range(3, n)}
+    return {n1: (n1, n - n1 + 1, r + 1 - n1) for n1 in range(3, r - 1)} if n > r else {}
 
 
 @dataclass(frozen=True)
@@ -87,7 +99,7 @@ class ConditionReport:
 def _check_conditions(
     family: str,
     f: InvariantFunction,
-    weight: int,
+    g: dict[int, float],
     base: float,
     x_max: int,
     t_max: int,
@@ -95,26 +107,26 @@ def _check_conditions(
 ) -> ConditionReport:
     """Scan both inequalities for one family.
 
-    (a) the divided difference of x**weight * f(x) over single degrees
-    3 <= x < y <= x_max must avoid base; (b) turning a deep leaf into an
-    interior vertex must move the invariant differently at root degree x
-    than at degree 2, at every depth t <= t_max.
+    (a) the divided difference of g over pairs x < y of its degrees must
+    avoid base; (b) turning a deep leaf into an interior vertex must move
+    the invariant differently at root degree 3 <= x <= x_max than at degree
+    2, at every depth t <= t_max: its margin is |mu_coefficient(f, t + 1, x)|,
+    in the same arithmetic.
     """
-    g = {x: x**weight * f((x,)) for x in range(3, x_max + 1)}
     ok_a, witness_a, min_a = True, None, float("inf")
-    for x in range(3, x_max + 1):
-        for y in range(x + 1, x_max + 1):
-            margin = abs((g[x] - g[y]) / (x - y) - base)
-            if margin < min_a:
-                min_a = margin
-            if not margin > tol and ok_a:
-                ok_a, witness_a = False, (x, y)
+    for x, y in combinations(g, 2):
+        margin = abs((g[x] - g[y]) / (x - y) - base)
+        if margin < min_a:
+            min_a = margin
+        if not margin > tol and ok_a:
+            ok_a, witness_a = False, (x, y)
+    roots = list(_order0_points(x_max + 1))
     ok_b, witness_b, min_b = True, None, float("inf")
     for t in range(t_max + 1):
         tail_leaf = (2,) * t + (1,)
         tail_inner = (2,) * (t + 1)
         swap = f((2,) + tail_leaf) - f((2,) + tail_inner)
-        for x in range(3, x_max + 1):
+        for x in roots:
             margin = abs(f((x,) + tail_leaf) - f((x,) + tail_inner) - swap)
             if margin < min_b:
                 min_b = margin
@@ -139,10 +151,12 @@ def check_starlike_conditions(
 ) -> ConditionReport:
     """Scan the inequalities under which profiles determine starlike specs.
 
-    (a) the divided difference of f on single degrees x, y >= 3 must avoid
-    f(2) - f(1); (b) the leaf-swap gap must be nonzero at every depth.
+    (a) the divided difference of f over the root degrees 3..x_max that
+    reconstruction scans must avoid f(2) - f(1); (b) the leaf-swap gap must
+    be nonzero at every depth.
     """
-    return _check_conditions("starlike", f, 0, f((2,)) - f((1,)), x_max, t_max, tol)
+    g = {m: f((m,)) for m in _order0_points(x_max + 1)}
+    return _check_conditions("starlike", f, g, f((2,)) - f((1,)), x_max, t_max, tol)
 
 
 def check_generalized_conditions(
@@ -150,10 +164,13 @@ def check_generalized_conditions(
 ) -> ConditionReport:
     """Same scan for the clique-coalesced family.
 
-    (a) tightens to the divided difference of x * f(x) avoiding f(1), which
-    the hub-degree scan needs; (b) is unchanged.
+    (a) reads the clique sizes n1 that reconstruction scans, whose other
+    vertices have degree c = n1 - 1, from 2 (a 3-clique) to x_max: the
+    divided difference of c * f(c) must avoid f(1); (b) is unchanged.
     """
-    return _check_conditions("generalized", f, 1, f((1,)), x_max, t_max, tol)
+    # a hub of degree x_max + 3 on x_max + 4 vertices takes clique sizes 3..x_max + 1
+    g = {n1 - 1: (n1 - 1) * f((n1 - 1,)) for n1 in _order0_points(x_max + 4, x_max + 3)}
+    return _check_conditions("generalized", f, g, f((1,)), x_max, t_max, tol)
 
 
 @dataclass(frozen=True)
@@ -179,16 +196,16 @@ class ReconstructionResult:
 def _run_ladder(
     profile: list[float],
     f: InvariantFunction,
-    point: tuple[int, int, int, dict],
+    point: tuple[int, int, int],
 ) -> dict[int, int]:
     """Recover branch counts order by order until the length budget is spent.
 
-    point is the candidate (n1, n2, m, {}). At order h the closed form is
+    point is the candidate (n1, n2, m). At order h the closed form is
     evaluated with the counts found so far and the order-h count set to
     zero; the gap to the profile, over the slope in that count, is the
     count.
     """
-    n1, n2, m, _ = point
+    n1, n2, m = point
     budget_len = n2 - 1
     counts: dict[int, int] = {}
     used_len = 0
@@ -233,46 +250,35 @@ def _run_ladder(
     return counts
 
 
-def _hub_splits(n: int, r: int) -> Iterator[tuple[int, int, int]]:
-    """(n1, n2, m) for each clique size n1 >= 3 that leaves a tree on n2
-    vertices with m = r + 1 - n1 >= 3 branches, given n vertices and hub
-    degree r. Those m branches need n2 - 1 = n - n1 >= m vertices: n > r."""
-    if n > r:
-        for n1 in range(3, r - 1):
-            yield n1, n - n1 + 1, r + 1 - n1
-
-
 def _reconstruct(
-    profile: list[float],
-    f: InvariantFunction,
-    candidates: dict[int, tuple[int, int, int, dict]],
-    noun: str,
-    span: str,
-    tol: float,
+    n: int, r: int | None, profile: list[float], f: InvariantFunction, tol: float
 ) -> ReconstructionResult:
-    """Pick the one candidate point (n1, n2, m, {}) whose order-0 value
-    matches, run the ladder on its branches and replay the rebuilt spec.
-
-    candidates maps each scanned value (root degree or clique size) to its
-    point; noun names that value and span its range, for error messages.
-    """
+    """Pick the one order-0 point of the slice (n, r), r None for a starlike
+    one, whose value matches, run the ladder on its branches and replay the
+    rebuilt spec."""
+    points = _order0_points(n, r)
+    family, noun = ("starlike", "root degree") if r is None else ("clique-coalesced", "clique size")
+    if not points:
+        hub = "" if r is None else f" and hub degree {r}"
+        raise NoCandidateRootError(f"no {family} tree has {n} vertices{hub}")
     if not profile:
         raise BudgetMismatchError("profile is empty")
     matches = [
         key
-        for key, point in candidates.items()
-        if _close(profile[0], _evaluate(point, 0, f), tol)
+        for key, point in points.items()
+        if _close(profile[0], _evaluate((*point, {}), 0, f), tol)
     ]
     if not matches:
         raise NoCandidateRootError(
-            f"no {noun} in {span} matches the order-0 value {profile[0]!r}"
+            f"no {noun} in {min(points)}..{max(points)} matches "
+            f"the order-0 value {profile[0]!r}"
         )
     if len(matches) > 1:
         raise AmbiguousRootError(
             f"{noun}s {matches} all match the order-0 value; "
             "tighten the tolerance or use a steeper index"
         )
-    point = candidates[matches[0]]
+    point = points[matches[0]]
     star = StarlikeSpec.from_counts(_run_ladder(profile, f, point))
     spec = star if point[0] == 1 else GenStarlikeSpec(point[0], star)
 
@@ -299,11 +305,7 @@ def reconstruct_starlike(
     branch length. Raises a ReconstructionError subclass rather than ever
     returning a spec that does not reproduce the input.
     """
-    n = vertex_count
-    if n < 4:
-        raise NoCandidateRootError(f"no starlike tree has {n} vertices")
-    candidates = {m: (1, n, m, {}) for m in range(3, n)}
-    return _reconstruct(profile, f, candidates, "root degree", f"3..{n - 1}", tol)
+    return _reconstruct(vertex_count, None, profile, f, tol)
 
 
 def reconstruct_generalized(
@@ -319,10 +321,7 @@ def reconstruct_generalized(
     value then pins the clique size by integer scan, and the ladder runs on
     the tree part with the hub degree in every crossing class.
     """
-    candidates = {
-        n1: (n1, n2, m, {}) for n1, n2, m in _hub_splits(vertex_count, max_degree)
-    }
-    return _reconstruct(profile, f, candidates, "clique size", f"3..{max_degree - 2}", tol)
+    return _reconstruct(vertex_count, max_degree, profile, f, tol)
 
 
 class _LazyRows:
@@ -410,31 +409,36 @@ def distinguish(
     return _LazyRows([a, b], f).first_difference(0, 1, h_max, tol)
 
 
-def _partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    if max_part is None or max_part > total:
-        max_part = total
-    if total == 0:
-        yield ()
-        return
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
+def _branch_sets(total: int, parts: int, least: int = 1) -> Iterator[tuple]:
+    """Every branches tuple ((length, count), ...) of parts branches with
+    lengths >= least summing to total, in ascending tuple order."""
+    for length in range(least, total // parts + 1):
+        # the parts - count longer branches need at least length + 1 each
+        for count in range(max(1, parts * (length + 1) - total), parts):
+            for rest in _branch_sets(total - length * count, parts - count, length + 1):
+                yield ((length, count),) + rest
+        if length * parts == total:
+            yield ((length, parts),)
+
+
+def _specs(n: int, r: int | None = None) -> list[StarlikeSpec]:
+    """Every spec of a family slice, by clique size and then branches."""
+    return [
+        StarlikeSpec(b) if n1 == 1 else GenStarlikeSpec(n1, StarlikeSpec(b))
+        for n1, n2, m in _order0_points(n, r).values()
+        for b in _branch_sets(n2 - 1, m)
+    ]
 
 
 def starlike_specs(vertex_count: int) -> list[StarlikeSpec]:
-    """Every starlike spec on the given vertex count, deterministically ordered."""
-    parts = (p for p in _partitions(vertex_count - 1) if len(p) >= 3)
-    return sorted((StarlikeSpec.from_counts(Counter(p)) for p in parts), key=lambda s: s.branches)
+    """Every starlike spec on the given vertex count, ordered by branches."""
+    return sorted(_specs(vertex_count), key=lambda s: s.branches)
 
 
 def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpec]:
-    """Every coalesced spec with the given vertex count and hub degree."""
-    specs = []
-    for n1, n2, m in _hub_splits(vertex_count, max_degree):
-        for parts in _partitions(n2 - 1):
-            if len(parts) == m:
-                specs.append(GenStarlikeSpec(n1, StarlikeSpec.from_counts(Counter(parts))))
-    return sorted(specs, key=lambda s: (s.clique_size, s.branches))
+    """Every coalesced spec with the given vertex count and hub degree,
+    ordered by clique size and then branches."""
+    return _specs(vertex_count, max_degree)
 
 
 @dataclass(frozen=True)

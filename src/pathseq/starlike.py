@@ -332,18 +332,15 @@ def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
     Adding one branch of length h (holding n, m and the shorter counts
     fixed) changes the invariant by exactly this amount: one more root-leaf
     class, one fewer of each root-interior and leaf-interior class, plus one
-    net interior segment.
+    net interior segment. That is the leaf swap after degree m less the leaf
+    swap after degree 2, the margin of condition (b) at t = h - 1.
     """
     if h < 1:
         raise ValueError(f"slope is defined for h >= 1, got {h}")
     if m < 3:
         raise ValueError(f"root degree must be >= 3, got {m}")
-    return (
-        f((m,) + (2,) * (h - 1) + (1,))
-        - f((m,) + (2,) * h)
-        + f((2,) * (h + 1))
-        - f((1,) + (2,) * h)
-    )
+    leaf, inner = (2,) * (h - 1) + (1,), (2,) * h
+    return f((m,) + leaf) - f((m,) + inner) - (f((2,) + leaf) - f((2,) + inner))
 
 
 def tail_coefficients(

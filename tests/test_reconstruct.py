@@ -1,5 +1,6 @@
 import math
 import time
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -28,10 +29,12 @@ from pathseq import (
     realize_starlike,
     reconstruct_generalized,
     reconstruct_starlike,
+    register_invariant,
     starlike_profile,
     starlike_specs,
     survey_distinguishability,
 )
+from pathseq.reconstruct import _order0_points
 from pathseq.starlike import _evaluate
 
 CONN = builtin("connectivity")
@@ -64,10 +67,12 @@ def test_constant_index_fails_both_conditions():
 
 @pytest.mark.parametrize("check", [check_starlike_conditions, check_generalized_conditions])
 def test_nan_index_fails_both_conditions(check):
-    # NaN compares false both ways: a NaN margin is no margin
+    # NaN compares false both ways: a NaN margin is no margin. Theorem 8's
+    # condition (a) starts at degree 2, the other vertices of a 3-clique.
     report = check(InvariantFunction("nan", lambda d: math.nan), x_max=6, t_max=2)
     assert not report.condition_a and not report.condition_b
-    assert report.counterexample_a == (3, 4) and report.counterexample_b == (0, 3)
+    first_pair = (3, 4) if check is check_starlike_conditions else (2, 3)
+    assert report.counterexample_a == first_pair and report.counterexample_b == (0, 3)
 
 
 def test_degree_sum_fails_starlike_slope_condition():
@@ -337,3 +342,93 @@ def test_survey_generalized_family():
     assert report.spec_count == 6
     assert report.pairs_checked == 15
     assert report.collisions == []
+
+
+@pytest.mark.parametrize("n, r", [(12, 10**7), (12, 12), (6, 3)])
+def test_a_slice_with_no_clique_size_is_named_by_n_and_r(n, r):
+    # (6, 3) is a 5-cycle with a pendant vertex: its hub degree 3 leaves no
+    # clique of 3 or more vertices room for 3 branches
+    g = __import__("pathseq").build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 5)])
+    profile = invariant_profile(g, CONN, 3)
+    want = f"^no clique-coalesced tree has {n} vertices and hub degree {r}$"
+    with pytest.raises(NoCandidateRootError, match=want):
+        reconstruct_generalized(n, r, profile, CONN)
+
+
+def test_no_match_names_the_range_that_was_scanned():
+    path = __import__("pathseq").build_graph(6, [(i, i + 1) for i in range(5)])
+    with pytest.raises(NoCandidateRootError, match=r"^no root degree in 3\.\.5 matches"):
+        reconstruct_starlike(6, invariant_profile(path, CONN, 5), CONN)
+    profile = generalized_profile(generalized_specs(12, 8)[0], CONN, 3)
+    profile[0] += 1.0
+    with pytest.raises(NoCandidateRootError, match=r"^no clique size in 3\.\.6 matches"):
+        reconstruct_generalized(12, 8, profile, CONN)
+
+
+def _clique_3_blind(d):
+    if len(d) == 1:
+        return {1: 1.0, 2: 2.0, 3: 5 / 3}.get(d[0], math.sqrt(d[0]) + 0.1)
+    return 1 / math.sqrt(math.prod(d)) + 0.01 * sum(d)
+
+
+def test_theorem_8_condition_a_reads_the_3_clique():
+    # A 3-clique's other vertices have degree c = 2. Clique sizes 3 and 4
+    # give c * f(c) = 4 and 5, a slope of f(1) = 1, so the order-0 value
+    # cannot tell them apart and condition (a) must fail at (2, 3).
+    f = register_invariant("clique-3-blind", _clique_3_blind)
+    report = check_generalized_conditions(f)
+    assert not report.condition_a and report.condition_b
+    assert report.counterexample_a == (2, 3) and report.min_margin_a == 0.0
+    a = GenStarlikeSpec(3, StarlikeSpec.from_counts({1: 2, 3: 1, 5: 2}))
+    b = GenStarlikeSpec(4, StarlikeSpec.from_counts({1: 1, 3: 1, 5: 2}))
+    assert (a.vertex_count, a.max_degree) == (b.vertex_count, b.max_degree) == (18, 7)
+    with pytest.raises(AmbiguousRootError, match=r"clique sizes \[3, 4\]"):
+        reconstruct_generalized(18, 7, invariant_profile(a, f, a.longest_path_length), f)
+    assert distinguish(a, b, f) == 1
+
+
+@pytest.mark.parametrize("check", [check_starlike_conditions, check_generalized_conditions])
+@pytest.mark.parametrize(
+    "name, t_max",
+    [("connectivity", 32), ("connectivity", 80), ("sum-connectivity", 32), ("hyper-zagreb", 32)],
+)
+def test_margin_b_is_the_least_ladder_slope(check, name, t_max):
+    f = builtin(name)
+    report = check(f, 64, t_max)
+    slopes = (abs(mu_coefficient(f, t + 1, x)) for t in range(t_max + 1) for x in range(3, 65))
+    assert report.min_margin_b == min(slopes)
+
+
+def _partitions(total, largest=None):
+    """Every partition of total, as a descending tuple of parts."""
+    if total == 0:
+        return [()]
+    top = total if largest is None else min(total, largest)
+    return [
+        (first,) + rest for first in range(top, 0, -1) for rest in _partitions(total - first, first)
+    ]
+
+
+def test_starlike_specs_are_every_partition_with_three_parts_or_more():
+    for n in range(1, 26):
+        want = [
+            StarlikeSpec.from_counts(Counter(p)) for p in _partitions(n - 1) if len(p) >= 3
+        ]
+        got = starlike_specs(n)
+        assert got == sorted(want, key=lambda s: s.branches), n
+        assert all(s.root_degree in _order0_points(n) for s in got)
+
+
+def test_generalized_specs_are_every_clique_and_partition_with_the_hub_degree():
+    for n in range(1, 25):
+        by_hub = defaultdict(list)
+        for n1 in range(3, n + 1):
+            for p in _partitions(n - n1):
+                if len(p) >= 3:
+                    spec = GenStarlikeSpec(n1, StarlikeSpec.from_counts(Counter(p)))
+                    by_hub[spec.max_degree].append(spec)
+        for r in range(1, n + 3):
+            got = generalized_specs(n, r)
+            want = sorted(by_hub[r], key=lambda s: (s.clique_size, s.branches))
+            assert got == want, (n, r)
+            assert all(s.clique_size in _order0_points(n, r) for s in got)
