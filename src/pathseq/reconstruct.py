@@ -19,6 +19,7 @@ from .errors import (
     AmbiguousRootError,
     BudgetMismatchError,
     FamilyMismatchError,
+    IndexEvaluationError,
     NoCandidateRootError,
     NonIntegerBranchCountError,
     ProfileMismatchError,
@@ -96,54 +97,93 @@ class ConditionReport:
         }
 
 
-def _check_conditions(
-    family: str,
-    f: InvariantFunction,
-    g: dict[int, float],
-    base: float,
-    x_max: int,
-    t_max: int,
-    tol: float,
-) -> ConditionReport:
-    """Scan both inequalities for one family.
+def _fixed(v: float) -> int:
+    """v * 2**1074 as an exact int; OverflowError or ValueError for inf or NaN."""
+    p, q = v.as_integer_ratio()
+    return p << (1075 - q.bit_length())
 
-    (a) the divided difference of g over pairs x < y of its degrees must
-    avoid base; (b) turning a deep leaf into an interior vertex must move
-    the invariant differently at root degree 3 <= x <= x_max than at degree
-    2, at every depth t <= t_max: its margin is |mu_coefficient(f, t + 1, x)|,
-    in the same arithmetic.
+
+def _condition_a(g: dict[int, float], base: float, tol: float) -> tuple:
+    """Condition (a)'s first failing pair of g's keys in combinations order,
+    or None, and least margin |(g[x] - g[y]) / (x - y) - base|, bit for bit
+    as a scan of every pair gives them (a NaN margin fails, is no minimum).
+
+    In units of 2**-1074, H = g - base * x and the unrounded margin
+    |H_x - H_y| / |x - y| are exact; its least value s* is at two points
+    adjacent in H order (mediant inequality). Rounding moves a margin s by
+    at most 4e(s + |base|) + 2**-1070, e = 2**-53, so only pairs with s <= T
+    = (max(C, tol) + 4e|base| + 2**-1070) / (1 - 4e) can matter, C being the
+    float margin at s*. Between such x and y in H order a step of width d
+    has slope <= s* + (T - s*)|x - y| / d <= L = s* + (T - s*)(max x - min
+    x), so only runs of steps up to L are scanned; non-finite values or C
+    leave one run.
     """
-    ok_a, witness_a, min_a = True, None, float("inf")
-    for x, y in combinations(g, 2):
-        margin = abs((g[x] - g[y]) / (x - y) - base)
-        if margin < min_a:
-            min_a = margin
-        if not margin > tol and ok_a:
-            ok_a, witness_a = False, (x, y)
+    xs, gs = list(g), list(g.values())
+    try:
+        b = _fixed(base)
+        h = [_fixed(v) - b * x for x, v in zip(xs, gs)]
+    except (OverflowError, ValueError):
+        h = []
+    order = sorted(range(len(h)), key=h.__getitem__)
+    steps = [(h[j] - h[i], abs(xs[j] - xs[i])) for i, j in zip(order, order[1:])]
+    k, c, runs = 0, float("inf"), [range(len(xs))]
+    for s, (rise, width) in enumerate(steps):
+        if rise * steps[k][1] < steps[k][0] * width:
+            k = s
+    if steps:
+        i, j = sorted(order[k : k + 2])
+        c = abs((gs[i] - gs[j]) / (xs[i] - xs[j]) - base)
+    if c < float("inf"):
+        # T = t / t_den and L = l / l_den, in units of 2**-1074
+        (rise, width), span = steps[k], max(xs) - min(xs)
+        t, t_den = _fixed(max(c, tol)) * 2**51 + abs(b) + 2**55, 2**51 - 1
+        l, l_den = rise * t_den + (t * width - rise * t_den) * span, width * t_den
+        cuts = [s + 1 for s, (rise, width) in enumerate(steps) if rise * l_den > l * width]
+        runs = [order[lo:hi] for lo, hi in zip([0] + cuts, cuts + [len(order)])]
+    low, witnesses = float("inf"), []
+    for run in runs:
+        first = None
+        for i, j in combinations(sorted(run), 2):
+            margin = abs((gs[i] - gs[j]) / (xs[i] - xs[j]) - base)
+            if margin < low:
+                low = margin
+            if first is None and not margin > tol:
+                first = (i, j)
+        witnesses += [first] if first else []
+    return (tuple(xs[i] for i in min(witnesses)) if witnesses else None), low
+
+
+def _check_conditions(
+    family: str, f: InvariantFunction, x_max: int, t_max: int, tol: float
+) -> ConditionReport:
+    """Scan both inequalities for one family over the CLI's ranges: (a) by
+    _condition_a; (b) turning a deep leaf into an interior vertex must move
+    the invariant differently at root degree 3 <= x <= x_max than at degree
+    2, at every depth t <= t_max. Its margin is |mu_coefficient(f, t + 1,
+    x)|, in the same arithmetic; a NaN margin fails and is no minimum."""
+    if x_max < 4 or t_max < 0 or not 0 <= tol < 1:
+        raise ValueError(f"need x_max >= 4, t_max >= 0, tol in [0, 1); got {x_max}, {t_max}, {tol}")
+    if family == "starlike":
+        g = {m: f((m,)) for m in _order0_points(x_max + 1)}
+        witness_a, min_a = _condition_a(g, f((2,)) - f((1,)), tol)
+    else:
+        # a hub of degree x_max + 3 on x_max + 4 vertices takes clique sizes 3..x_max + 1
+        g = {n1 - 1: (n1 - 1) * f((n1 - 1,)) for n1 in _order0_points(x_max + 4, x_max + 3)}
+        witness_a, min_a = _condition_a(g, f((1,)), tol)
     roots = list(_order0_points(x_max + 1))
-    ok_b, witness_b, min_b = True, None, float("inf")
+    fn, witness_b, min_b = f.fn, None, float("inf")
     for t in range(t_max + 1):
-        tail_leaf = (2,) * t + (1,)
-        tail_inner = (2,) * (t + 1)
-        swap = f((2,) + tail_leaf) - f((2,) + tail_inner)
-        for x in roots:
-            margin = abs(f((x,) + tail_leaf) - f((x,) + tail_inner) - swap)
-            if margin < min_b:
-                min_b = margin
-            if not margin > tol and ok_b:
-                ok_b, witness_b = False, (t, x)
-    return ConditionReport(
-        family=family,
-        x_max=x_max,
-        t_max=t_max,
-        tolerance=tol,
-        condition_a=ok_a,
-        condition_b=ok_b,
-        counterexample_a=witness_a,
-        counterexample_b=witness_b,
-        min_margin_a=min_a,
-        min_margin_b=min_b,
-    )
+        leaf, inner = (2,) * t + (1,), (2,) * (t + 1)
+        try:
+            swap = fn((2,) + leaf) - fn((2,) + inner)
+            row = [abs(fn((x,) + leaf) - fn((x,) + inner) - swap) for x in roots]
+        except ArithmeticError as exc:
+            raise IndexEvaluationError(f"index {f.name!r} at order {t + 1}: {exc}") from exc
+        min_b = min([min_b] + [m for m in row if m == m])
+        if witness_b is None:
+            witness_b = next(((t, x) for x, m in zip(roots, row) if not m > tol), None)
+    ok = (witness_a is None, witness_b is None)
+    return ConditionReport(family, x_max, t_max, tol, *ok, witness_a, witness_b, min_a, min_b)
 
 
 def check_starlike_conditions(
@@ -153,10 +193,10 @@ def check_starlike_conditions(
 
     (a) the divided difference of f over the root degrees 3..x_max that
     reconstruction scans must avoid f(2) - f(1); (b) the leaf-swap gap must
-    be nonzero at every depth.
+    be nonzero at every depth. ValueError unless x_max >= 4, t_max >= 0 and
+    0 <= tol < 1.
     """
-    g = {m: f((m,)) for m in _order0_points(x_max + 1)}
-    return _check_conditions("starlike", f, g, f((2,)) - f((1,)), x_max, t_max, tol)
+    return _check_conditions("starlike", f, x_max, t_max, tol)
 
 
 def check_generalized_conditions(
@@ -168,9 +208,7 @@ def check_generalized_conditions(
     vertices have degree c = n1 - 1, from 2 (a 3-clique) to x_max: the
     divided difference of c * f(c) must avoid f(1); (b) is unchanged.
     """
-    # a hub of degree x_max + 3 on x_max + 4 vertices takes clique sizes 3..x_max + 1
-    g = {n1 - 1: (n1 - 1) * f((n1 - 1,)) for n1 in _order0_points(x_max + 4, x_max + 3)}
-    return _check_conditions("generalized", f, g, f((1,)), x_max, t_max, tol)
+    return _check_conditions("generalized", f, x_max, t_max, tol)
 
 
 @dataclass(frozen=True)

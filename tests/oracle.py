@@ -5,6 +5,7 @@ recursion, no shared helpers. Slow but obviously correct.
 """
 
 from collections import Counter
+from itertools import combinations
 
 
 def oracle_paths(n, edges, order):
@@ -88,3 +89,17 @@ def graph_edges(g):
 
 def close(a, b, tol=1e-12):
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def oracle_condition_a(g, base, tol):
+    """Condition (a) by every pair of g's keys in order: (passed, first pair
+    whose margin is not above tol, least margin). A NaN margin fails and is
+    never the least."""
+    ok, witness, low = True, None, float("inf")
+    for x, y in combinations(g, 2):
+        margin = abs((g[x] - g[y]) / (x - y) - base)
+        if margin < low:
+            low = margin
+        if not margin > tol and ok:
+            ok, witness = False, (x, y)
+    return ok, witness, low

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+import pathseq
 from oracle import close
 from pathseq import register_invariant
 from pathseq.cli import _build_parser, _emit, main
@@ -555,3 +556,13 @@ def test_benchmark_cli_argv_parses(seed):
     for job in jobs:
         assert job["expect_code"] in (0, 1)
         parser.parse_args(job["argv"])
+
+
+def test_cli_import_leaves_out_fractions_and_decimal():
+    # Every CLI process pays for pathseq's imports; fractions pulls in decimal.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pathseq.__file__)))
+    code = "import sys, pathseq.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
