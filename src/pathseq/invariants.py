@@ -19,10 +19,16 @@ from .graph import DEFAULT_BUDGET, Census
 
 @dataclass(frozen=True)
 class InvariantFunction:
-    """A named, reversal-symmetric function of degree sequences."""
+    """A named, reversal-symmetric function of degree sequences.
+
+    multiset, when set, is the same function of a sequence's degree product
+    and degree sum: multiset(math.prod(d), sum(d)) is fn(d) bit for bit,
+    errors included. Only built-ins have one.
+    """
 
     name: str
     fn: Callable[[tuple[int, ...]], float]
+    multiset: Callable[[int, int], float] | None = None
 
     def __call__(self, degrees: Sequence[int]) -> float:
         """f at one degree sequence; an arithmetic failure becomes IndexEvaluationError."""
@@ -51,11 +57,13 @@ def _path_count(d: tuple[int, ...]) -> float:
     return 1.0
 
 
+# Each built-in over a degree tuple, and over its (product, sum). The tuple
+# forms compute no sum they do not read.
 _SIMPLE_BUILTINS = {
-    "connectivity": _connectivity,
-    "sum-connectivity": _sum_connectivity,
-    "hyper-zagreb": _hyper_zagreb,
-    "path-count": _path_count,
+    "connectivity": (_connectivity, lambda p, s: 1.0 / math.sqrt(p)),
+    "sum-connectivity": (_sum_connectivity, lambda p, s: 1.0 / math.sqrt(s)),
+    "hyper-zagreb": (_hyper_zagreb, lambda p, s: float(p) * float(p)),
+    "path-count": (_path_count, lambda p, s: 1.0),
 }
 
 
@@ -68,7 +76,7 @@ def builtin(name: str, param: float | None = None) -> InvariantFunction:
     if name in _SIMPLE_BUILTINS:
         if param is not None:
             raise UnknownIndexError(f"index {name!r} takes no parameter")
-        return InvariantFunction(name, _SIMPLE_BUILTINS[name])
+        return InvariantFunction(name, *_SIMPLE_BUILTINS[name])
     if name == "power":
         if param is None:
             raise UnknownIndexError(
@@ -81,7 +89,7 @@ def builtin(name: str, param: float | None = None) -> InvariantFunction:
         def _power(d: tuple[int, ...], _a: float = alpha) -> float:
             return math.prod(d) ** _a
 
-        return InvariantFunction(f"power:{alpha}", _power)
+        return InvariantFunction(f"power:{alpha}", _power, lambda p, s: p**alpha)
     raise UnknownIndexError(f"unknown index {name!r}")
 
 

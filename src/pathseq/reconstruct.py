@@ -19,14 +19,13 @@ from .errors import (
     AmbiguousRootError,
     BudgetMismatchError,
     FamilyMismatchError,
-    IndexEvaluationError,
     NoCandidateRootError,
     NonIntegerBranchCountError,
     ProfileMismatchError,
     SizeMismatchError,
 )
 from .invariants import InvariantFunction, invariant_from_census, invariant_profile
-from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient
+from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient, mu_row
 
 DEFAULT_TOL = 1e-9
 # how far a recovered branch count may sit from an integer
@@ -40,6 +39,13 @@ SWEEP_ORDER = 4
 def _close(a: float, b: float, tol: float) -> bool:
     """Hybrid comparison: absolute near zero, relative for large values."""
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _check_tol(tol: float) -> None:
+    """ValueError unless 0 <= tol < 1: at tol >= 1 any two values of one sign
+    are _close, and below 0 (or NaN) a value is not _close to itself."""
+    if not 0 <= tol < 1:
+        raise ValueError(f"tolerance must be >= 0 and < 1, got {tol!r}")
 
 
 def _first_difference(a: list[float], b: list[float], tol: float) -> int | None:
@@ -160,7 +166,7 @@ def _check_conditions(
     _condition_a; (b) turning a deep leaf into an interior vertex must move
     the invariant differently at root degree 3 <= x <= x_max than at degree
     2, at every depth t <= t_max. Its margin is |mu_coefficient(f, t + 1,
-    x)|, in the same arithmetic; a NaN margin fails and is no minimum."""
+    x)|, from mu_row; a NaN margin fails and is no minimum."""
     if x_max < 4 or t_max < 0 or not 0 <= tol < 1:
         raise ValueError(f"need x_max >= 4, t_max >= 0, tol in [0, 1); got {x_max}, {t_max}, {tol}")
     if family == "starlike":
@@ -171,16 +177,14 @@ def _check_conditions(
         g = {n1 - 1: (n1 - 1) * f((n1 - 1,)) for n1 in _order0_points(x_max + 4, x_max + 3)}
         witness_a, min_a = _condition_a(g, f((1,)), tol)
     roots = list(_order0_points(x_max + 1))
-    fn, witness_b, min_b = f.fn, None, float("inf")
+    witness_b, min_b = None, float("inf")
     for t in range(t_max + 1):
-        leaf, inner = (2,) * t + (1,), (2,) * (t + 1)
-        try:
-            swap = fn((2,) + leaf) - fn((2,) + inner)
-            row = [abs(fn((x,) + leaf) - fn((x,) + inner) - swap) for x in roots]
-        except ArithmeticError as exc:
-            raise IndexEvaluationError(f"index {f.name!r} at order {t + 1}: {exc}") from exc
-        min_b = min([min_b] + [m for m in row if m == m])
-        if witness_b is None:
+        row = list(map(abs, mu_row(f, t + 1, roots)))
+        # margins are >= 0 or NaN, so their sum is NaN just when one is
+        total = sum(row)
+        low = min(row) if total == total else min([m for m in row if m == m], default=min_b)
+        min_b = min(min_b, low)
+        if witness_b is None and not (low > tol and total == total):
             witness_b = next(((t, x) for x, m in zip(roots, row) if not m > tol), None)
     ok = (witness_a is None, witness_b is None)
     return ConditionReport(family, x_max, t_max, tol, *ok, witness_a, witness_b, min_a, min_b)
@@ -294,6 +298,7 @@ def _reconstruct(
     """Pick the one order-0 point of the slice (n, r), r None for a starlike
     one, whose value matches, run the ladder on its branches and replay the
     rebuilt spec."""
+    _check_tol(tol)
     points = _order0_points(n, r)
     family, noun = ("starlike", "root degree") if r is None else ("clique-coalesced", "clique size")
     if not points:
@@ -341,7 +346,8 @@ def reconstruct_starlike(
 
     The profile must cover orders 0..h_max with h_max at least the longest
     branch length. Raises a ReconstructionError subclass rather than ever
-    returning a spec that does not reproduce the input.
+    returning a spec that does not reproduce the input, and ValueError
+    unless 0 <= tol < 1.
     """
     return _reconstruct(vertex_count, None, profile, f, tol)
 
@@ -357,7 +363,8 @@ def reconstruct_generalized(
 
     The family fixes the vertex count and the hub degree r; the order-0
     value then pins the clique size by integer scan, and the ladder runs on
-    the tree part with the hub degree in every crossing class.
+    the tree part with the hub degree in every crossing class. Errors as
+    for reconstruct_starlike.
     """
     return _reconstruct(vertex_count, max_degree, profile, f, tol)
 
@@ -428,9 +435,9 @@ def distinguish(
     Orders beyond both longest paths carry no information (both invariants
     are identically zero there), so the scan stops at the larger of the two.
     Orders are evaluated one at a time, and none past the separating order.
+    ValueError unless 0 <= tol < 1.
     """
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol!r}")
+    _check_tol(tol)
     if (a.clique_size == 1) != (b.clique_size == 1):
         raise FamilyMismatchError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
@@ -524,8 +531,7 @@ def survey_distinguishability(
     strictly increases in y, so the walk forward from each spec can stop at
     the first value not _close. The collisions come out in all-pairs order.
     """
-    if not 0 <= tol < 1:
-        raise ValueError(f"survey tolerance must lie in [0, 1), got {tol!r}")
+    _check_tol(tol)
     if family == "starlike":
         if max_degree is not None:
             raise ValueError("starlike survey takes no hub degree")

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import perm
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import FormatError, InvalidSpecError
+from .errors import FormatError, IndexEvaluationError, InvalidSpecError
 from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class
 from .invariants import (
     InvariantFunction,
@@ -326,6 +326,31 @@ starlike_invariant = evaluate_invariant
 starlike_profile = invariant_profile
 
 
+def mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]:
+    """mu_coefficient(f, h, x) for each root degree x in degrees.
+
+    The classes after degree x are a leaf sequence (x, 2, ..., 2, 1) of
+    degree product x << (h - 1) and sum x + 2h - 1, and an inner one (x, 2,
+    ..., 2) of product x << h and sum x + 2h. An index with a product-sum
+    form reads these, and builds no tuple; any other reads the tuples. Either
+    way a value is f(x + leaf) - f(x + inner) - (f(2 + leaf) - f(2 + inner)),
+    with the same floats and the same first error.
+    """
+    if h < 1:
+        raise ValueError(f"slope is defined for h >= 1, got {h}")
+    g = f.multiset
+    try:
+        if g is None:
+            fn, leaf, inner = f.fn, (2,) * (h - 1) + (1,), (2,) * h
+            swap = fn((2,) + leaf) - fn((2,) + inner)
+            return [fn((x,) + leaf) - fn((x,) + inner) - swap for x in degrees]
+        k, s = h - 1, 2 * h
+        swap = g(2 << k, s + 1) - g(2 << h, s + 2)
+        return [g(x << k, x + s - 1) - g(x << h, x + s) - swap for x in degrees]
+    except ArithmeticError as exc:
+        raise IndexEvaluationError(f"index {f.name!r} at order {h}: {exc}") from exc
+
+
 def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
     """Slope of the order-h invariant in the count of length-h branches.
 
@@ -335,12 +360,9 @@ def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
     net interior segment. That is the leaf swap after degree m less the leaf
     swap after degree 2, the margin of condition (b) at t = h - 1.
     """
-    if h < 1:
-        raise ValueError(f"slope is defined for h >= 1, got {h}")
     if m < 3:
         raise ValueError(f"root degree must be >= 3, got {m}")
-    leaf, inner = (2,) * (h - 1) + (1,), (2,) * h
-    return f((m,) + leaf) - f((m,) + inner) - (f((2,) + leaf) - f((2,) + inner))
+    return mu_row(f, h, (m,))[0]
 
 
 def tail_coefficients(

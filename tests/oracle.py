@@ -103,3 +103,20 @@ def oracle_condition_a(g, base, tol):
         if not margin > tol and ok:
             ok, witness = False, (x, y)
     return ok, witness, low
+
+
+def oracle_condition_b(fn, x_max, t_max, tol):
+    """Condition (b) by every depth t <= t_max and root degree 3 <= x <=
+    x_max, f read at degree tuples: (first (t, x) whose margin is not above
+    tol, least margin). A NaN margin fails and is never the least."""
+    witness, low = None, float("inf")
+    for t in range(t_max + 1):
+        leaf, inner = (2,) * t + (1,), (2,) * (t + 1)
+        swap = fn((2,) + leaf) - fn((2,) + inner)
+        for x in range(3, x_max + 1):
+            margin = abs(fn((x,) + leaf) - fn((x,) + inner) - swap)
+            if margin < low:
+                low = margin
+            if witness is None and not margin > tol:
+                witness = (t, x)
+    return witness, low

@@ -1,6 +1,7 @@
 """Condition scans: condition (a) from the sorted order-0 values against the
-scan of every pair, the library's ranges, NaN margins, and whole reports
-pinned on the built-in indices."""
+scan of every pair, condition (b) from mu_row against the scan of every
+degree tuple, the library's ranges, NaN margins, and whole reports pinned on
+the built-in indices."""
 
 import json
 import math
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracle import oracle_condition_a
+from oracle import oracle_condition_a, oracle_condition_b
 from pathseq import (
     IndexEvaluationError,
     InvariantFunction,
@@ -18,6 +19,7 @@ from pathseq import (
     check_generalized_conditions,
     check_starlike_conditions,
     mu_coefficient,
+    mu_row,
     register_invariant,
     resolve_index,
 )
@@ -162,3 +164,67 @@ def test_a_failure_in_b_names_the_index_and_the_order(family):
     deep_pole = InvariantFunction("deep-pole", lambda d: 1.0 / (5 - len(d)) + d[0] + d[-1])
     with pytest.raises(IndexEvaluationError, match=r"^index 'deep-pole' at order 4: float division"):
         CHECKS[family](deep_pole, x_max=8, t_max=6)
+
+
+def _ends(d):
+    return 1.0 / math.sqrt(d[0] * d[-1] + len(d))
+
+
+# registered indices have no product-sum form, so mu_row reads their tuples
+TUPLE_ONLY = {"ends": register_invariant("ends", _ends),
+              "nan-at-3": register_invariant("nan-at-3", _nan_at_3)}
+BUILT_INS = ("connectivity", "sum-connectivity", "hyper-zagreb", "path-count")
+
+
+@st.composite
+def condition_b_cases(draw):
+    """(f, family, x_max, t_max, tol): a built-in, a power of random
+    exponent, or a registered index without a product-sum form."""
+    name = draw(st.sampled_from(BUILT_INS + ("power",) + tuple(TUPLE_ONLY)))
+    if name == "power":
+        f = builtin("power", draw(st.floats(-3, 3)))
+    else:
+        f = TUPLE_ONLY.get(name) or builtin(name)
+    tol = draw(st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0, 1, exclude_max=True)))
+    return (f, draw(st.sampled_from(sorted(CHECKS))), draw(st.integers(4, 300)),
+            draw(st.integers(0, 60)), tol)
+
+
+@settings(max_examples=80, deadline=None)
+@given(condition_b_cases())
+# connectivity's least margin drops below 1e-9 at depth 51
+@example((builtin("connectivity"), "starlike", 64, 60, 1e-9))
+@example((TUPLE_ONLY["nan-at-3"], "generalized", 300, 60, 0.0))
+@example((builtin("path-count"), "starlike", 4, 0, 0.0))
+def test_condition_b_equals_the_scan_of_every_degree_tuple(case):
+    f, family, x_max, t_max, tol = case
+    witness, low = oracle_condition_b(f.fn, x_max, t_max, tol)
+    report = CHECKS[family](f, x_max, t_max, tol)
+    got = (report.condition_b, report.counterexample_b, report.min_margin_b.hex())
+    assert got == (witness is None, witness, low.hex())
+
+
+def _outcome(call, *args):
+    """repr of a call's floats, exact to the bit, or its error's type and message."""
+    try:
+        return repr(call(*args))
+    except IndexEvaluationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(BUILT_INS + ("power:0.5", "power:-0.5", "power:2.0", "power:3.7")),
+    st.integers(1, 1100),
+    st.lists(st.one_of(st.integers(3, 9), st.integers(3, 2**40)), min_size=1, max_size=4),
+)
+# products past 2**53, one past the largest float (2**20 << 1019), and a
+# power whose result overflows
+@example("connectivity", 60, [3, 5])
+@example("connectivity", 1020, [3, 2**20])
+@example("power:3.7", 300, [3])
+def test_mu_row_from_the_product_sum_form_equals_the_tuples(name, h, xs):
+    f = resolve_index(name)
+    want = _outcome(mu_row, InvariantFunction(f.name, f.fn), h, xs)
+    assert _outcome(mu_row, f, h, xs) == want
+    assert _outcome(lambda: [mu_coefficient(f, h, x) for x in xs]) == want

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracle import close, graph_edges, oracle_invariant
@@ -152,3 +152,26 @@ def test_index_arithmetic_errors_map_wherever_f_runs():
     with pytest.raises(IndexEvaluationError) as exc:
         invariant_from_census(census, InvariantFunction("big", lambda d: 1e308))
     assert isinstance(exc.value.__cause__, OverflowError)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(BUILTIN_NAMES + ("power:0.5", "power:-0.5", "power:2.0", "power:3.7")),
+    st.lists(st.one_of(st.integers(1, 9), st.integers(1, 2**60)), min_size=1, max_size=30),
+)
+# a product past 2**53 that rounds, one that overflows a float, and a power
+# whose result overflows
+@example("connectivity", [3**20, 3**14])
+@example("hyper-zagreb", [2**60] * 18)
+@example("power:3.7", [2**60] * 5)
+def test_product_sum_form_is_the_tuple_form_bit_for_bit(name, seq):
+    f = resolve_index(name)
+    product_sum = InvariantFunction(f.name, lambda d: f.multiset(math.prod(d), sum(d)))
+
+    def outcome(g):
+        try:
+            return g(seq).hex()
+        except IndexEvaluationError as exc:
+            return str(exc)
+
+    assert outcome(product_sum) == outcome(f)

@@ -30,6 +30,7 @@ from pathseq import (
     reconstruct_generalized,
     reconstruct_starlike,
     register_invariant,
+    resolve_index,
     starlike_profile,
     starlike_specs,
     survey_distinguishability,
@@ -271,6 +272,24 @@ def test_distinguish_rejects_a_tolerance_below_zero(spider, tol):
         distinguish(spider, spider, CONN, tol)
 
 
+@pytest.mark.parametrize("tol", [-1.0, 1.0, 1.5, 2.0, math.nan])
+def test_library_tolerances_take_the_cli_range(tol):
+    # Outside [0, 1) comparisons are vacuous: tol -1.0 matched no root
+    # degree, 2.0 matched every one, and at 1.5 distinguish called these
+    # two specs, which order 1 separates, equal.
+    a = StarlikeSpec.from_counts({1: 3, 5: 1})
+    b = StarlikeSpec.from_counts({1: 1, 2: 2, 3: 1})
+    g = GenStarlikeSpec(3, StarlikeSpec.from_counts({1: 2, 3: 1}))
+    g_profile = invariant_profile(g, CONN, g.longest_path_length)
+    match = r"^tolerance must be >= 0 and < 1, got"
+    with pytest.raises(ValueError, match=match):
+        reconstruct_starlike(9, starlike_profile(a, CONN, 5), CONN, tol)
+    with pytest.raises(ValueError, match=match):
+        reconstruct_generalized(g.vertex_count, g.max_degree, g_profile, CONN, tol)
+    with pytest.raises(ValueError, match=match):
+        distinguish(a, b, CONN, tol)
+
+
 def test_distinguish_reports_first_separating_order():
     a = StarlikeSpec.from_counts({1: 2, 2: 2})
     b = StarlikeSpec.from_counts({1: 3, 3: 1})
@@ -390,10 +409,11 @@ def test_theorem_8_condition_a_reads_the_3_clique():
 @pytest.mark.parametrize("check", [check_starlike_conditions, check_generalized_conditions])
 @pytest.mark.parametrize(
     "name, t_max",
-    [("connectivity", 32), ("connectivity", 80), ("sum-connectivity", 32), ("hyper-zagreb", 32)],
+    [("connectivity", 32), ("connectivity", 80), ("sum-connectivity", 32), ("hyper-zagreb", 32),
+     ("path-count", 32), ("power:0.5", 32)],
 )
 def test_margin_b_is_the_least_ladder_slope(check, name, t_max):
-    f = builtin(name)
+    f = resolve_index(name)
     report = check(f, 64, t_max)
     slopes = (abs(mu_coefficient(f, t + 1, x)) for t in range(t_max + 1) for x in range(3, 65))
     assert report.min_margin_b == min(slopes)
