@@ -7,6 +7,8 @@ have closed forms, which drive verification, reconstruction of a spec from its
 invariant profile, and all-pairs distinguishability surveys.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     AmbiguousRootError,
     BudgetExceededError,
@@ -89,72 +91,7 @@ from .starlike import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguousRootError",
-    "BudgetExceededError",
-    "BudgetMismatchError",
-    "Census",
-    "ConditionReport",
-    "DEFAULT_BUDGET",
-    "DisconnectedError",
-    "DuplicateEdgeError",
-    "FamilyMismatchError",
-    "FormatError",
-    "GenStarlikeSpec",
-    "Graph",
-    "IndexEvaluationError",
-    "InvalidSpecError",
-    "InvariantFunction",
-    "NoCandidateRootError",
-    "NonIntegerBranchCountError",
-    "PathseqError",
-    "ProfileMismatchError",
-    "ReconstructionError",
-    "ReconstructionResult",
-    "SelfLoopError",
-    "SizeMismatchError",
-    "StarlikeSpec",
-    "SurveyReport",
-    "SymmetryError",
-    "UnknownIndexError",
-    "VertexOutOfRangeError",
-    "build_graph",
-    "builtin",
-    "canonical_class",
-    "census_series",
-    "check_generalized_conditions",
-    "check_starlike_conditions",
-    "coalesce_spec",
-    "distinguish",
-    "enumerate_paths",
-    "evaluate_invariant",
-    "generalized_census",
-    "generalized_invariant",
-    "generalized_profile",
-    "generalized_specs",
-    "invariant_from_census",
-    "invariant_profile",
-    "load_edge_list",
-    "load_generalized_spec",
-    "load_starlike_spec",
-    "longest_path_length",
-    "mu_coefficient",
-    "mu_row",
-    "parse_edge_list",
-    "parse_generalized_spec",
-    "parse_starlike_spec",
-    "path_census",
-    "realize_generalized",
-    "realize_starlike",
-    "reconstruct_generalized",
-    "reconstruct_starlike",
-    "register_invariant",
-    "resolve_index",
-    "starlike_census",
-    "starlike_invariant",
-    "starlike_profile",
-    "starlike_specs",
-    "survey_distinguishability",
-    "tail_coefficients",
-    "validate_symmetry",
-]
+# Every name the imports above bind, without the submodules they load.
+__all__ = sorted(
+    k for k, v in globals().items() if not k.startswith("_") and not isinstance(v, _ModuleType)
+)

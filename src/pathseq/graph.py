@@ -93,7 +93,8 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if vertex_count < 1:
         raise ValueError(f"vertex_count must be positive, got {vertex_count}")
-    neighbor_sets: list[set[int]] = [set() for _ in range(vertex_count)]
+    # sets only where edges touch, so a huge header over few edges stays small
+    neighbor_sets: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in edges:
         for w in (u, v):
             if not 0 <= w < vertex_count:
@@ -112,22 +113,20 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
         raise DisconnectedError(
             "vertex 0 is isolated; the smallest supported graph is a single edge"
         )
-    graph = Graph(vertex_count, tuple(tuple(sorted(s)) for s in neighbor_sets))
-    dist = _distances(graph, 0)
-    for v in range(vertex_count):
-        if dist[v] < 0:
-            raise DisconnectedError(f"vertex {v} is unreachable from vertex 0")
-    return graph
+    reached = _distances(neighbor_sets, 0)
+    if len(reached) < vertex_count:
+        v = next(v for v in range(vertex_count) if v not in reached)
+        raise DisconnectedError(f"vertex {v} is unreachable from vertex 0")
+    return Graph(vertex_count, tuple(tuple(sorted(neighbor_sets[v])) for v in range(vertex_count)))
 
 
-def _distances(graph: Graph, source: int) -> list[int]:
-    """Breadth-first edge distances from source; -1 marks unreachable vertices."""
-    dist = [-1] * graph.vertex_count
-    dist[source] = 0
+def _distances(adjacency, source: int) -> dict[int, int]:
+    """Breadth-first edge distances from source to each vertex that it reaches."""
+    dist = {source: 0}
     queue = [source]
     for v in queue:
-        for w in graph.adjacency[v]:
-            if dist[w] < 0:
+        for w in adjacency[v]:
+            if w not in dist:
                 dist[w] = dist[v] + 1
                 queue.append(w)
     return dist
@@ -173,9 +172,17 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(vertex_count, edges)
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; decoded in one read, so an error's start is a byte offset."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+
+
 def load_edge_list(path: str) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+    return parse_edge_list(_read_text(path))
 
 
 def _twins(graph: Graph) -> tuple[list[int], list[int], list[int]]:
@@ -342,8 +349,8 @@ def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     """
     n = graph.vertex_count
     if graph.edge_count == n - 1:
-        dist = _distances(graph, 0)
-        return max(_distances(graph, dist.index(max(dist))))
+        dist = _distances(graph.adjacency, 0)
+        return max(_distances(graph.adjacency, max(dist, key=dist.get)).values())
     best = 0
     for trail, _ in _walk(graph, n - 1, budget, range(n), _twins(graph)):
         if len(trail) - 1 > best:

@@ -395,8 +395,6 @@ class _LazyRows:
     def value(self, i: int, h: int) -> float:
         """Spec i's order-h value, extending its row through h."""
         row = self.rows[i]
-        if h < len(row):
-            return row[h]
         spec = self.specs[i]
         while len(row) <= h:
             order = len(row)
@@ -532,16 +530,13 @@ def survey_distinguishability(
     the first value not _close. The collisions come out in all-pairs order.
     """
     _check_tol(tol)
-    if family == "starlike":
-        if max_degree is not None:
-            raise ValueError("starlike survey takes no hub degree")
-        specs: list = starlike_specs(vertex_count)
-    elif family == "generalized":
-        if max_degree is None:
-            raise ValueError("generalized survey needs the hub degree")
-        specs = generalized_specs(vertex_count, max_degree)
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    starlike = family == "starlike"
+    if family not in ("starlike", "generalized") or starlike != (max_degree is None):
+        raise ValueError(
+            "family must be 'starlike' (no hub degree) or 'generalized' (with one), "
+            f"got {family!r} and {max_degree!r}"
+        )
+    specs = starlike_specs(vertex_count) if starlike else _specs(vertex_count, max_degree)
 
     h_max = max((s.longest_path_length for s in specs), default=0)
     rows = _LazyRows(specs, f)

@@ -23,7 +23,7 @@ from math import perm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import FormatError, IndexEvaluationError, InvalidSpecError
-from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class
+from .graph import DEFAULT_BUDGET, Census, Graph, _read_text, build_graph, canonical_class
 from .invariants import (
     InvariantFunction,
     evaluate_invariant,
@@ -83,15 +83,10 @@ class StarlikeSpec:
     @staticmethod
     def from_counts(counts: Mapping[int, int]) -> StarlikeSpec:
         """Build a starlike spec from a length -> count mapping; zero counts are dropped."""
+        # integers first, as mixed keys cannot be sorted; the constructor checks the rest
         for length, count in counts.items():
             _check_int_branch(length, count)
-        items = sorted(counts.items())
-        for length, count in items:
-            if count and length < 1:
-                raise InvalidSpecError(f"branch length {length!r} must be a positive integer")
-            if count < 0:
-                raise InvalidSpecError(f"branch count {count!r} must be a non-negative integer")
-        return StarlikeSpec(tuple((l, c) for l, c in items if c))
+        return StarlikeSpec(tuple((l, c) for l, c in sorted(counts.items()) if c))
 
     @cached_property
     def branch_counts(self) -> dict[int, int]:
@@ -317,7 +312,6 @@ def _evaluate(
     return invariant_from_census(merge_terms(h, point), f)
 
 
-
 # Public names of both families; each accepts either spec, and the
 # invariant and profile accept graphs too.
 realize_starlike = _realize
@@ -411,11 +405,11 @@ def parse_starlike_spec(doc: object) -> StarlikeSpec:
 
 def _load_json(path: str, parse: Callable[[object], object]):
     """Read a JSON spec file and hand the document to a family's parser."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON in {path}: {exc}") from None
+    try:
+        # ValueError: malformed JSON, or an integer past the digit limit
+        doc = json.loads(_read_text(path))
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"invalid JSON in {path}: {exc}") from None
     return parse(doc)
 
 
