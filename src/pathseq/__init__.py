@@ -9,6 +9,7 @@ invariant profile, and all-pairs distinguishability surveys.
 
 from types import ModuleType as _ModuleType
 
+from . import starlike as generalized  # both families live in starlike.py, under either name
 from .errors import (
     AmbiguousRootError,
     BudgetExceededError,
@@ -28,16 +29,8 @@ from .errors import (
     SizeMismatchError,
     SymmetryError,
     UnknownIndexError,
+    UnreadableFileError,
     VertexOutOfRangeError,
-)
-from .generalized import (
-    coalesce_spec,
-    generalized_census,
-    generalized_invariant,
-    generalized_profile,
-    load_generalized_spec,
-    parse_generalized_spec,
-    realize_generalized,
 )
 from .graph import (
     DEFAULT_BUDGET,
@@ -78,10 +71,17 @@ from .reconstruct import (
 from .starlike import (
     GenStarlikeSpec,
     StarlikeSpec,
+    coalesce_spec,
+    generalized_census,
+    generalized_invariant,
+    generalized_profile,
+    load_generalized_spec,
     load_starlike_spec,
     mu_coefficient,
     mu_row,
+    parse_generalized_spec,
     parse_starlike_spec,
+    realize_generalized,
     realize_starlike,
     starlike_census,
     starlike_invariant,

@@ -18,7 +18,6 @@ import sys
 import tempfile
 
 from .errors import IndexEvaluationError, PathseqError
-from .generalized import load_generalized_spec
 from .graph import DEFAULT_BUDGET, load_edge_list
 from .invariants import evaluate_invariant, invariant_profile, resolve_index
 from .reconstruct import (
@@ -30,7 +29,7 @@ from .reconstruct import (
     distinguish,
     survey_distinguishability,
 )
-from .starlike import load_starlike_spec, realize_starlike
+from .starlike import load_generalized_spec, load_starlike_spec, realize_starlike
 
 
 class UsageError(Exception):
@@ -298,10 +297,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except PathseqError as exc:
-        doc, code = _error(type(exc).__name__.removesuffix("Error"), str(exc)), 1
     except OSError as exc:
         doc, code = _error("IO", str(exc)), 1
+    except PathseqError as exc:
+        doc, code = _error(type(exc).__name__.removesuffix("Error"), str(exc)), 1
     try:
         _emit(doc, args)
     except OSError as exc:

@@ -33,6 +33,10 @@ class FormatError(PathseqError):
     """An input file or document does not match its declared format."""
 
 
+class UnreadableFileError(PathseqError, OSError):
+    """An input file cannot be opened or read; an OSError too, with its text."""
+
+
 class InvalidSpecError(PathseqError):
     """A branch spec violates a structural constraint."""
 

@@ -23,6 +23,7 @@ from .errors import (
     DuplicateEdgeError,
     FormatError,
     SelfLoopError,
+    UnreadableFileError,
     VertexOutOfRangeError,
 )
 
@@ -172,17 +173,19 @@ def parse_edge_list(text: str) -> Graph:
     return build_graph(vertex_count, edges)
 
 
-def _read_text(path: str) -> str:
+def read_text(path: str) -> str:
     """A file's UTF-8 text; decoded in one read, so an error's start is a byte offset."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8: {exc.reason} at byte offset {exc.start}") from None
+    except OSError as exc:
+        raise UnreadableFileError(exc.errno, exc.strerror, exc.filename) from None
 
 
 def load_edge_list(path: str) -> Graph:
-    return parse_edge_list(_read_text(path))
+    return parse_edge_list(read_text(path))
 
 
 def _twins(graph: Graph) -> tuple[list[int], list[int], list[int]]:

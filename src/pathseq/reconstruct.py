@@ -167,8 +167,9 @@ def _check_conditions(
     the invariant differently at root degree 3 <= x <= x_max than at degree
     2, at every depth t <= t_max. Its margin is |mu_coefficient(f, t + 1,
     x)|, from mu_row; a NaN margin fails and is no minimum."""
-    if x_max < 4 or t_max < 0 or not 0 <= tol < 1:
-        raise ValueError(f"need x_max >= 4, t_max >= 0, tol in [0, 1); got {x_max}, {t_max}, {tol}")
+    _check_tol(tol)
+    if x_max < 4 or t_max < 0:
+        raise ValueError(f"need x_max >= 4 and t_max >= 0; got {x_max}, {t_max}")
     if family == "starlike":
         g = {m: f((m,)) for m in _order0_points(x_max + 1)}
         witness_a, min_a = _condition_a(g, f((2,)) - f((1,)), tol)

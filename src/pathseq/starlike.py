@@ -1,4 +1,4 @@
-"""Starlike trees: spec, realization, closed-form censuses and slopes.
+"""Starlike and clique-coalesced trees: spec, parsers, realization, closed forms, slopes.
 
 A starlike tree has exactly one vertex of degree three or more (the root);
 it is determined by its multiset of branch lengths. Every path of order
@@ -7,8 +7,12 @@ leaf, or inside a branch; through the root or within a single branch), and
 each shape's degree sequence and multiplicity have closed forms in the
 branch-length counts. Censuses and invariants therefore need no enumeration.
 
-One spec class covers both families: a clique glued at the root (see
-generalized.py) is its clique_size, and a starlike tree is the clique-size-1
+A clique-coalesced tree glues one vertex of a complete graph on n1 vertices
+onto the root of a starlike tree. Its paths lie entirely inside the tree
+(the starlike shapes, except that the hub carries degree m + n1 - 1),
+entirely inside the clique, or cross the hub with one side in each; all
+three kinds have closed-form censuses. One spec class covers both families:
+the clique is its clique_size, and a starlike tree is the clique-size-1
 case, where every path through the clique has multiplicity zero.
 """
 
@@ -23,7 +27,7 @@ from math import perm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import FormatError, IndexEvaluationError, InvalidSpecError
-from .graph import DEFAULT_BUDGET, Census, Graph, _read_text, build_graph, canonical_class
+from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class, read_text
 from .invariants import (
     InvariantFunction,
     evaluate_invariant,
@@ -155,6 +159,20 @@ class GenStarlikeSpec(StarlikeSpec):
 
     def __repr__(self) -> str:
         return f"GenStarlikeSpec(clique_size={self.clique_size!r}, star={self.star!r})"
+
+
+def coalesce_spec(clique_size: int, branch_counts: Mapping[int, int]) -> StarlikeSpec:
+    """Build the coalesced spec, normalizing the degenerate 2-clique.
+
+    A 2-clique glued at the root is just one extra pendant edge, so that
+    case returns a plain StarlikeSpec with the length-1 count bumped.
+    """
+    if clique_size < 2:
+        raise InvalidSpecError(f"clique size must be >= 2, got {clique_size}")
+    star = StarlikeSpec.from_counts(branch_counts)
+    if clique_size == 2:
+        return StarlikeSpec.from_counts({**star.branch_counts, 1: star.count(1) + 1})
+    return GenStarlikeSpec(clique_size, star)
 
 
 def _point(spec: StarlikeSpec) -> tuple[int, int, int, Mapping[int, int]]:
@@ -314,10 +332,10 @@ def _evaluate(
 
 # Public names of both families; each accepts either spec, and the
 # invariant and profile accept graphs too.
-realize_starlike = _realize
-starlike_census = StarlikeSpec.census
-starlike_invariant = evaluate_invariant
-starlike_profile = invariant_profile
+realize_starlike = realize_generalized = _realize
+starlike_census = generalized_census = StarlikeSpec.census
+starlike_invariant = generalized_invariant = evaluate_invariant
+starlike_profile = generalized_profile = invariant_profile
 
 
 def mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]:
@@ -383,6 +401,8 @@ def parse_starlike_spec(doc: object) -> StarlikeSpec:
     """Parse the JSON spec document {"branches": [{"length","count"}, ...]}."""
     if not isinstance(doc, dict) or "branches" not in doc:
         raise FormatError("starlike spec must be an object with a 'branches' list")
+    if "clique" in doc:
+        raise FormatError("a 'clique' needs --generalized (parse_generalized_spec), not --starlike")
     entries = doc["branches"]
     if not isinstance(entries, list) or not entries:
         raise FormatError("'branches' must be a non-empty list")
@@ -403,11 +423,22 @@ def parse_starlike_spec(doc: object) -> StarlikeSpec:
     return StarlikeSpec.from_counts(counts)
 
 
+def parse_generalized_spec(doc: object) -> StarlikeSpec:
+    """Parse {"clique": k, "branches": [...]}; a 2-clique normalizes to starlike."""
+    if not isinstance(doc, dict) or "clique" not in doc or "branches" not in doc:
+        raise FormatError("generalized spec must be an object with 'clique' and 'branches'")
+    clique = doc["clique"]
+    if not _is_int(clique):
+        raise FormatError("'clique' must be an integer")
+    star = parse_starlike_spec({"branches": doc["branches"]})
+    return coalesce_spec(clique, star.branch_counts)
+
+
 def _load_json(path: str, parse: Callable[[object], object]):
     """Read a JSON spec file and hand the document to a family's parser."""
     try:
         # ValueError: malformed JSON, or an integer past the digit limit
-        doc = json.loads(_read_text(path))
+        doc = json.loads(read_text(path))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from None
     return parse(doc)
@@ -415,3 +446,7 @@ def _load_json(path: str, parse: Callable[[object], object]):
 
 def load_starlike_spec(path: str) -> StarlikeSpec:
     return _load_json(path, parse_starlike_spec)
+
+
+def load_generalized_spec(path: str) -> StarlikeSpec:
+    return _load_json(path, parse_generalized_spec)

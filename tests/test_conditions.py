@@ -15,9 +15,11 @@ from oracle import oracle_condition_a, oracle_condition_b
 from pathseq import (
     IndexEvaluationError,
     InvariantFunction,
+    StarlikeSpec,
     builtin,
     check_generalized_conditions,
     check_starlike_conditions,
+    distinguish,
     mu_coefficient,
     mu_row,
     register_invariant,
@@ -133,8 +135,19 @@ def test_reports_on_the_built_in_indices_are_pinned(want):
 def test_conditions_take_the_cli_ranges(family, kwargs):
     # Outside these ranges a scan passes vacuously: x_max 2 leaves no pair
     # (margins inf), t_max -1 no depth, and tol -1.0 passes path-count's 0.0.
-    with pytest.raises(ValueError, match="x_max >= 4, t_max >= 0, tol in"):
+    match = "tolerance must be >= 0 and < 1" if "tol" in kwargs else "x_max >= 4 and t_max >= 0"
+    with pytest.raises(ValueError, match=match):
         CHECKS[family](builtin("path-count"), **kwargs)
+
+
+def test_conditions_state_the_tolerance_range_as_distinguish_does():
+    f = builtin("connectivity")
+    spec = StarlikeSpec(((1, 3),))
+    with pytest.raises(ValueError) as scan:
+        check_starlike_conditions(f, 64, 32, 1.5)
+    with pytest.raises(ValueError) as pair:
+        distinguish(spec, spec, f, 1.5)
+    assert str(scan.value) == str(pair.value) == "tolerance must be >= 0 and < 1, got 1.5"
 
 
 @pytest.mark.parametrize("family", sorted(CHECKS))

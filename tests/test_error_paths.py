@@ -18,9 +18,12 @@ from pathseq import (
     DisconnectedError,
     DuplicateEdgeError,
     FormatError,
+    GenStarlikeSpec,
     InvalidSpecError,
+    PathseqError,
     SelfLoopError,
     StarlikeSpec,
+    UnreadableFileError,
     VertexOutOfRangeError,
     build_graph,
     builtin,
@@ -32,6 +35,8 @@ from pathseq import (
     mu_coefficient,
     mu_row,
     parse_edge_list,
+    parse_generalized_spec,
+    parse_starlike_spec,
     survey_distinguishability,
 )
 from pathseq.cli import main
@@ -104,6 +109,33 @@ def test_files_are_read_with_universal_newlines(tmp_path):
     spec.write_bytes(b"{\r\n\r\n!")
     with pytest.raises(FormatError, match=r"line 3 column 1 \(char 3\)"):
         load_starlike_spec(str(spec))
+
+
+@pytest.mark.parametrize("flag", sorted(LOADERS))
+@pytest.mark.parametrize("name", ["absent.json", "."], ids=["missing", "directory"])
+def test_unreadable_file_is_a_pathseq_error_with_the_os_text(capsys, tmp_path, flag, name):
+    path = str(tmp_path / name)
+    with pytest.raises(OSError) as plain:
+        open(path, encoding="utf-8")
+    with pytest.raises(PathseqError) as err:
+        LOADERS[flag](path)
+    assert isinstance(err.value, UnreadableFileError) and isinstance(err.value, OSError)
+    assert (err.value.errno, str(err.value)) == (plain.value.errno, str(plain.value))
+    # the CLI's IO error object keeps the OSError's text
+    code, doc = run(capsys, "census", f"--{flag}", path, "--order", "1")
+    assert (code, doc) == (1, {"error": {"type": "IO", "message": str(plain.value)}})
+
+
+def test_a_clique_is_refused_by_the_starlike_parser(capsys, tmp_path):
+    doc = {"clique": 4, "branches": [{"length": 2, "count": 3}]}
+    with pytest.raises(FormatError, match="--generalized \\(parse_generalized_spec\\)"):
+        parse_starlike_spec(doc)
+    assert parse_generalized_spec(doc) == GenStarlikeSpec(4, StarlikeSpec(((2, 3),)))
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps(doc))
+    code, out = run(capsys, "census", "--starlike", str(path), "--order", "1")
+    assert code == 1 and out["error"]["type"] == "Format"
+    assert "parse_generalized_spec" in out["error"]["message"]
 
 
 # --- graphs ---------------------------------------------------------------
@@ -240,7 +272,8 @@ def test_failed_replace_removes_the_temp_file(capsys, tmp_path, monkeypatch):
 
 
 def _names_read(relpath: str) -> set[str]:
-    """Names a file imports from pathseq, or reads through `ps.`."""
+    """Names a file imports from pathseq, or reads through `ps.`; a
+    `ps.<module>.<name>` chain also gives "<module>.<name>"."""
     with open(os.path.join(ROOT, relpath), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
     names = set()
@@ -253,6 +286,13 @@ def _names_read(relpath: str) -> set[str]:
             and node.value.id == "ps"
         ):
             names.add(node.attr)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Attribute)
+            and isinstance(node.value.value, ast.Name)
+            and node.value.value.id == "ps"
+        ):
+            names.add(f"{node.value.attr}.{node.attr}")
     return names
 
 
@@ -264,9 +304,15 @@ def test_star_import_exports_no_module_and_every_name_in_use():
     assert sorted(namespace) == pathseq.__all__
     assert len(set(pathseq.__all__)) == len(pathseq.__all__)
     for relpath in ("tests/test_acceptance.py", "tests/conftest.py", "bench/worker.py"):
+        read = _names_read(relpath)
+        chains = {name for name in read if "." in name}
         used = {
             name
-            for name in _names_read(relpath)
+            for name in read - chains
             if not name.startswith("_") and not isinstance(getattr(pathseq, name), types.ModuleType)
         }
         assert used and used <= set(namespace), (relpath, used - set(namespace))
+        # a module path such as ps.generalized.generalized_profile resolves too
+        for chain in chains:
+            module, name = chain.split(".")
+            assert hasattr(getattr(pathseq, module), name), (relpath, chain)
