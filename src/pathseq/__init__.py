@@ -7,6 +7,7 @@ have closed forms, which drive verification, reconstruction of a spec from its
 invariant profile, and all-pairs distinguishability surveys.
 """
 
+import sys as _sys
 from types import ModuleType as _ModuleType
 
 from . import starlike as generalized  # both families live in starlike.py, under either name
@@ -90,6 +91,8 @@ from .starlike import (
 )
 
 __version__ = "0.1.0"
+
+_sys.modules[f"{__name__}.generalized"] = generalized  # `import pathseq.generalized` too
 
 # Every name the imports above bind, without the submodules they load.
 __all__ = sorted(

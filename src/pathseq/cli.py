@@ -22,6 +22,7 @@ from .graph import DEFAULT_BUDGET, load_edge_list
 from .invariants import evaluate_invariant, invariant_profile, resolve_index
 from .reconstruct import (
     DEFAULT_TOL,
+    _check_tol,
     _first_difference,
     _reconstruct,
     check_generalized_conditions,
@@ -212,10 +213,16 @@ def _at_least(low: int):
 
 
 def _tol(text: str) -> float:
+    """Parse-time type for --tol, with the library's range and message."""
     value = float(text)
-    if not 0 <= value < 1:
-        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text}")
+    try:
+        _check_tol(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return value
+
+
+_tol.__name__ = "float"
 
 
 # Every flag once, with its parse-time type and range.

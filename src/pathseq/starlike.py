@@ -169,10 +169,11 @@ def coalesce_spec(clique_size: int, branch_counts: Mapping[int, int]) -> Starlik
     """
     if clique_size < 2:
         raise InvalidSpecError(f"clique size must be >= 2, got {clique_size}")
-    star = StarlikeSpec.from_counts(branch_counts)
-    if clique_size == 2:
-        return StarlikeSpec.from_counts({**star.branch_counts, 1: star.count(1) + 1})
-    return GenStarlikeSpec(clique_size, star)
+    ones = branch_counts.get(1, 0)
+    # a bad length-1 count (-1 included) is left for the spec's checks to refuse
+    bump = clique_size == 2 and _is_int(ones) and ones >= 0
+    star = StarlikeSpec.from_counts({**branch_counts, 1: ones + 1} if bump else branch_counts)
+    return star if clique_size == 2 else GenStarlikeSpec(clique_size, star)
 
 
 def _point(spec: StarlikeSpec) -> tuple[int, int, int, Mapping[int, int]]:
@@ -213,10 +214,11 @@ def _terms(
     The point (n1, n2, m, L) is a clique on n1 vertices sharing its hub with
     the root of a tree on n2 vertices whose m branches have length counts L.
     The hub's degree is m + n1 - 1; at n1 = 1 (a starlike tree) every clique
-    and bridge count is perm(0, k) = 0. Multiplicities are polynomial in the
-    counts and may be negative when the point is not realizable; callers that
-    hold a valid spec should assert them non-negative. Each count is computed
-    before its sequence is built, and zero counts are not yielded.
+    count is perm(0, k) = 0, and only the a = 0 bridges (paths that end at
+    the root) remain. Multiplicities are polynomial in the counts and may be
+    negative when the point is not realizable; callers that hold a valid spec
+    should assert them non-negative. Each count is computed before its
+    sequence is built, and zero counts are not yielded.
     """
     if h < 0:
         raise ValueError(f"order must be >= 0, got {h}")
@@ -232,13 +234,8 @@ def _terms(
     S = list(accumulate(L.get(k, 0) for k in range(h + 1)))
     longer = m - S[h]
 
-    # Root endpoint: down one branch, ending at its leaf (branch length h
-    # exactly) or strictly inside a longer branch.
-    if L.get(h, 0):
-        yield (R,) + (2,) * (h - 1) + (1,), L[h]
+    # A leaf end, the other end inside the same branch (longer than h); a root end is a = 0 below
     if longer:
-        yield (R,) + (2,) * h, longer
-        # the same branches, root not visited, ending at the branch leaf
         yield (1,) + (2,) * h, longer
 
     # Strictly inside a single branch: each branch of length l > h
@@ -279,13 +276,12 @@ def _terms(
             yield (2,) * a + (R,) + (2,) * (h - a), count
 
     # Inside the clique: ordered choices of the c non-hub vertices, with the
-    # hub at one end, nowhere (halved for orientation), or inside at distance
-    # a from the nearer end (halved at the midpoint). Every split a has the
+    # hub at distance a from the nearer end (an end at a = 0, halved at the
+    # midpoint) or nowhere (halved for orientation). Every split a has the
     # same perm(c, h) ordered choices.
     through_hub = perm(c, h)
     if through_hub:
-        yield (R,) + (c,) * h, through_hub
-        for a in range(1, h // 2 + 1):
+        for a in range(h // 2 + 1):
             count = through_hub // 2 if a == h - a else through_hub
             yield (c,) * a + (R,) + (c,) * (h - a), count
     no_hub = perm(c, h + 1) // 2
@@ -294,8 +290,9 @@ def _terms(
 
     # Bridges: a clique vertices on one side of the hub, and a tree side that
     # ends strictly inside a branch longer than h-a or at the leaf of a
-    # length-(h-a) branch. perm(c, a) vanishes for a >= n1.
-    for a in range(1, min(h, n1)):
+    # length-(h-a) branch. At a = 0 the path ends at the root; perm(c, a)
+    # vanishes for a >= n1.
+    for a in range(min(h, n1)):
         ordered = perm(c, a)
         count = ordered * (m - S[h - a])
         if count:
@@ -397,13 +394,8 @@ def tail_coefficients(
     return tuple(_evaluate((1, 0, m, {**base, k: 1}), h, f) - zero for k in (h - 2, h - 1, h))
 
 
-def parse_starlike_spec(doc: object) -> StarlikeSpec:
-    """Parse the JSON spec document {"branches": [{"length","count"}, ...]}."""
-    if not isinstance(doc, dict) or "branches" not in doc:
-        raise FormatError("starlike spec must be an object with a 'branches' list")
-    if "clique" in doc:
-        raise FormatError("a 'clique' needs --generalized (parse_generalized_spec), not --starlike")
-    entries = doc["branches"]
+def _branch_counts(entries: object) -> dict[int, int]:
+    """Read a document's 'branches' list into a length -> count mapping."""
     if not isinstance(entries, list) or not entries:
         raise FormatError("'branches' must be a non-empty list")
     counts: dict[int, int] = {}
@@ -420,7 +412,16 @@ def parse_starlike_spec(doc: object) -> StarlikeSpec:
         if length in counts:
             raise FormatError(f"branch length {length} listed more than once")
         counts[length] = entry["count"]
-    return StarlikeSpec.from_counts(counts)
+    return counts
+
+
+def parse_starlike_spec(doc: object) -> StarlikeSpec:
+    """Parse the JSON spec document {"branches": [{"length","count"}, ...]}."""
+    if not isinstance(doc, dict) or "branches" not in doc:
+        raise FormatError("starlike spec must be an object with a 'branches' list")
+    if "clique" in doc:
+        raise FormatError("a 'clique' needs --generalized (parse_generalized_spec), not --starlike")
+    return StarlikeSpec.from_counts(_branch_counts(doc["branches"]))
 
 
 def parse_generalized_spec(doc: object) -> StarlikeSpec:
@@ -430,8 +431,7 @@ def parse_generalized_spec(doc: object) -> StarlikeSpec:
     clique = doc["clique"]
     if not _is_int(clique):
         raise FormatError("'clique' must be an integer")
-    star = parse_starlike_spec({"branches": doc["branches"]})
-    return coalesce_spec(clique, star.branch_counts)
+    return coalesce_spec(clique, _branch_counts(doc["branches"]))
 
 
 def _load_json(path: str, parse: Callable[[object], object]):

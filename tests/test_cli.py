@@ -13,6 +13,7 @@ import pathseq
 from oracle import close
 from pathseq import register_invariant
 from pathseq.cli import _build_parser, _emit, main
+from pathseq.reconstruct import _check_tol
 
 SPIDER = {"branches": [{"length": 1, "count": 1}, {"length": 2, "count": 2}]}
 GLUED = {"clique": 4, "branches": [{"length": 2, "count": 3}]}
@@ -434,6 +435,34 @@ def test_bad_numeric_flags_are_usage_errors(capsys, spider_file, star_file, argv
         main([files.get(a, a) for a in argv])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("text", ["1.5", "-0.1", "nan", "1", "abc"])
+def test_tol_out_of_range_prints_the_library_message(capsys, text):
+    if text == "abc":
+        message = "invalid float value: 'abc'"
+    else:
+        with pytest.raises(ValueError) as lib:
+            _check_tol(float(text))
+        message = str(lib.value)
+        assert message.startswith("tolerance must be >= 0 and < 1, got ")
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--size", "8", "--index", "connectivity", "--tol", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument --tol: {message}\n" in captured.err
+    assert "_tol" not in captured.err
+
+
+def test_census_of_an_edge_clique_over_two_branches(capsys, tmp_path):
+    edge = tmp_path / "edge.json"
+    edge.write_text(json.dumps({"clique": 2, "branches": [{"length": 3, "count": 2}]}))
+    star = tmp_path / "star.json"
+    star.write_text(json.dumps({"branches": [{"length": 1, "count": 1}, {"length": 3, "count": 2}]}))
+    for order in range(8):
+        code, out = run(capsys, "census", "--generalized", str(edge), "--order", str(order))
+        assert code == 0
+        assert (code, out) == run(capsys, "census", "--starlike", str(star), "--order", str(order))
 
 
 def test_index_overflow_maps_to_error_object(capsys, spider_file):

@@ -3,6 +3,7 @@ end in a PathseqError, a documented ValueError or a CLI error object, never
 in a traceback or a per-vertex allocation."""
 
 import ast
+import importlib
 import json
 import os
 import sys
@@ -294,6 +295,10 @@ def _names_read(relpath: str) -> set[str]:
         ):
             names.add(f"{node.value.attr}.{node.attr}")
     return names
+
+
+def test_generalized_is_an_importable_name_for_starlike():
+    assert importlib.import_module("pathseq.generalized") is pathseq.starlike
 
 
 def test_star_import_exports_no_module_and_every_name_in_use():

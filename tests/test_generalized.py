@@ -73,6 +73,18 @@ def test_coalesce_validates_star_first():
         coalesce_spec(4, {1: 2})
 
 
+def test_coalesce_normalizes_an_edge_clique_over_two_branches():
+    # the clique's edge is the third branch, so the star alone need not be valid
+    assert coalesce_spec(2, {1: 2}) == StarlikeSpec(((1, 3),))
+
+
+@pytest.mark.parametrize("counts", [{1: -1, 2: 3}, {1: "x", 2: 3}, {3: 1}, {1: 1}])
+def test_coalesce_refuses_an_edge_clique_over_bad_counts(counts):
+    # a length-1 count of -1 must not be bumped to 0 and dropped
+    with pytest.raises(InvalidSpecError):
+        coalesce_spec(2, counts)
+
+
 def test_realize_generalized_degrees(glued):
     g = realize_generalized(glued)
     assert g.vertex_count == glued.vertex_count
@@ -187,6 +199,11 @@ def test_parse_normalizes_edge_clique():
     assert spec.branches == ((1, 1), (2, 3))
 
 
+def test_parse_normalizes_edge_clique_over_two_branches():
+    spec = parse_generalized_spec({"clique": 2, "branches": [{"length": 3, "count": 2}]})
+    assert spec == StarlikeSpec(((1, 1), (3, 2)))
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -224,6 +241,7 @@ def test_census_property_random_specs(n1, counts):
     rho = spec.longest_path_length
     assert rho == oracle_longest_path(g.vertex_count, edges)
     assert rho == longest_path_length(g)
-    for order in (2, rho, rho + 1):
+    # every order, so each shape that ends at the hub or the root is checked
+    for order in range(rho + 2):
         got = dict(generalized_census(spec, order).entries)
         assert got == oracle_census(g.vertex_count, edges, order)
