@@ -15,22 +15,20 @@ import io
 import json
 import os
 import sys
-import tempfile
 
 from .errors import IndexEvaluationError, PathseqError
 from .graph import DEFAULT_BUDGET, load_edge_list
-from .invariants import evaluate_invariant, invariant_profile, resolve_index
-from .reconstruct import (
+from .invariants import (
     DEFAULT_TOL,
     _check_tol,
     _first_difference,
-    _reconstruct,
-    check_generalized_conditions,
-    check_starlike_conditions,
-    distinguish,
-    survey_distinguishability,
+    evaluate_invariant,
+    invariant_profile,
+    resolve_index,
 )
-from .starlike import load_generalized_spec, load_starlike_spec, realize_starlike
+
+# Handlers import starlike (closed forms) and reconstruct (the ladder) where
+# they need them, so that a process compiles only the modules its command runs.
 
 
 class UsageError(Exception):
@@ -39,13 +37,14 @@ class UsageError(Exception):
 
 def _load_inputs(args) -> list:
     """Graphs and specs in flag order; each has longest_path, census and censuses."""
-    # a --generalized clique of 2 normalizes to a plain starlike spec
-    loaders = (
-        (args.graph, load_edge_list),
-        (args.starlike, load_starlike_spec),
-        (args.generalized, load_generalized_spec),
-    )
-    return [load(path) for paths, load in loaders for path in paths or []]
+    items = [load_edge_list(path) for path in args.graph or []]
+    if args.starlike or args.generalized:
+        from . import starlike
+
+        # a --generalized clique of 2 normalizes to a plain starlike spec
+        items += map(starlike.load_starlike_spec, args.starlike or [])
+        items += map(starlike.load_generalized_spec, args.generalized or [])
+    return items
 
 
 def _single_input(args):
@@ -84,6 +83,8 @@ def _cmd_census(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    from .starlike import realize_starlike
+
     obj = _single_input(args)
     if args.graph:
         raise UsageError("verify compares a spec's closed form; pass --starlike or --generalized")
@@ -106,6 +107,8 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_reconstruct(args) -> dict:
+    from .reconstruct import _reconstruct
+
     obj = _single_input(args)
     f = resolve_index(args.index)
     profile = invariant_profile(obj, f, obj.longest_path(args.budget), args.budget)
@@ -117,6 +120,8 @@ def _cmd_reconstruct(args) -> dict:
 
 
 def _cmd_distinguish(args) -> dict:
+    from .reconstruct import distinguish
+
     items = _load_inputs(args)
     if len(items) != 2:
         raise UsageError("distinguish needs exactly two spec inputs")
@@ -136,6 +141,8 @@ def _cmd_distinguish(args) -> dict:
 
 
 def _cmd_check_conditions(args) -> dict:
+    from .reconstruct import check_generalized_conditions, check_starlike_conditions
+
     f = resolve_index(args.index)
     if args.theorem == 7:
         report = check_starlike_conditions(f, args.x_max, args.t_max, args.tol)
@@ -145,6 +152,8 @@ def _cmd_check_conditions(args) -> dict:
 
 
 def _cmd_survey(args) -> dict:
+    from .reconstruct import survey_distinguishability
+
     f = resolve_index(args.index)
     if (args.family == "generalized") != (args.max_degree is not None):
         raise UsageError("--max-degree goes with --family generalized, and only with it")
@@ -185,6 +194,8 @@ def _emit(doc: dict, args) -> None:
     else:
         text = json.dumps(doc, indent=2) + "\n"
     if args.output:
+        import tempfile  # with shutil, bz2 and lzma: only --output needs it
+
         directory = os.path.dirname(os.path.abspath(args.output))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pathseq-")
         try:

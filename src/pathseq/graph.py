@@ -14,8 +14,7 @@ class once and counts the paths that its free members stand for.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -39,8 +38,7 @@ def canonical_class(degrees: Sequence[int]) -> tuple[int, ...]:
     return seq if seq <= rev else rev
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """A connected simple graph on vertices 0..vertex_count-1."""
 
     vertex_count: int
@@ -73,8 +71,7 @@ class Graph:
         return census_series(self, max_order, budget)
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(NamedTuple):
     """Multiplicities of canonical degree sequences over all paths of one order."""
 
     order: int

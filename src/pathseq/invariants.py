@@ -9,16 +9,32 @@ sequences of all order-h paths.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError
 from .graph import DEFAULT_BUDGET, Census
 
+DEFAULT_TOL = 1e-9
 
-@dataclass(frozen=True)
-class InvariantFunction:
+
+def _close(a: float, b: float, tol: float) -> bool:
+    """Hybrid comparison: absolute near zero, relative for large values."""
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def _check_tol(tol: float) -> None:
+    """ValueError unless 0 <= tol < 1: at tol >= 1 any two values of one sign
+    are _close, and below 0 (or NaN) a value is not _close to itself."""
+    if not 0 <= tol < 1:
+        raise ValueError(f"tolerance must be >= 0 and < 1, got {tol!r}")
+
+
+def _first_difference(a: list[float], b: list[float], tol: float) -> int | None:
+    """First order at which two profiles are not _close, else None."""
+    return next((h for h, (x, y) in enumerate(zip(a, b)) if not _close(x, y, tol)), None)
+
+
+class InvariantFunction(NamedTuple):
     """A named, reversal-symmetric function of degree sequences.
 
     multiset, when set, is the same function of a sequence's degree product
@@ -123,6 +139,8 @@ def register_invariant(name: str, fn: Callable[[tuple[int, ...]], float]) -> Inv
     """Register a user-supplied index function after a seeded symmetry check."""
     if name in _SIMPLE_BUILTINS or name == "power":
         raise ValueError(f"{name!r} is reserved for a built-in index")
+    import random  # only a registration draws sequences
+
     validate_symmetry(fn, random.Random(0))
     f = InvariantFunction(name, fn)
     _registry[name] = f

@@ -11,9 +11,8 @@ profile reproduces the input within tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     AmbiguousRootError,
@@ -24,33 +23,23 @@ from .errors import (
     ProfileMismatchError,
     SizeMismatchError,
 )
-from .invariants import InvariantFunction, invariant_from_census, invariant_profile
+from .invariants import (
+    DEFAULT_TOL,
+    InvariantFunction,
+    _check_tol,
+    _close,
+    _first_difference,
+    invariant_from_census,
+    invariant_profile,
+)
 from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient, mu_row
 
-DEFAULT_TOL = 1e-9
 # how far a recovered branch count may sit from an integer
 BRANCH_RESIDUAL_TOL = 1e-6
 # The survey sorts specs by their value at this order. On starlike n=21
 # (616 specs) with connectivity, orders 0/1/2/3/4/6 leave 18,924/4,234/
 # 1,325/502/245/417 of 189,420 pairs within tolerance: order 4 leaves fewest.
 SWEEP_ORDER = 4
-
-
-def _close(a: float, b: float, tol: float) -> bool:
-    """Hybrid comparison: absolute near zero, relative for large values."""
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
-
-
-def _check_tol(tol: float) -> None:
-    """ValueError unless 0 <= tol < 1: at tol >= 1 any two values of one sign
-    are _close, and below 0 (or NaN) a value is not _close to itself."""
-    if not 0 <= tol < 1:
-        raise ValueError(f"tolerance must be >= 0 and < 1, got {tol!r}")
-
-
-def _first_difference(a: list[float], b: list[float], tol: float) -> int | None:
-    """First order at which two profiles are not _close, else None."""
-    return next((h for h, (x, y) in enumerate(zip(a, b)) if not _close(x, y, tol)), None)
 
 
 def _order0_points(n: int, r: int | None = None) -> dict[int, tuple[int, int, int]]:
@@ -65,8 +54,7 @@ def _order0_points(n: int, r: int | None = None) -> dict[int, tuple[int, int, in
     return {n1: (n1, n - n1 + 1, r + 1 - n1) for n1 in range(3, r - 1)} if n > r else {}
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of scanning one family's qualification inequalities."""
 
     family: str
@@ -216,12 +204,11 @@ def check_generalized_conditions(
     return _check_conditions("generalized", f, x_max, t_max, tol)
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
+class ReconstructionResult(NamedTuple):
     """A rebuilt spec plus the per-order residuals of its validation."""
 
     spec: StarlikeSpec
-    residuals: list[float] = field(compare=False)
+    residuals: list[float]
 
     @property
     def max_residual(self) -> float:
@@ -485,8 +472,7 @@ def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpe
     return _specs(vertex_count, max_degree)
 
 
-@dataclass(frozen=True)
-class SurveyReport:
+class SurveyReport(NamedTuple):
     """All-pairs distinguishability outcome for one family slice."""
 
     family: str

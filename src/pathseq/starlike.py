@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import perm
@@ -46,7 +45,6 @@ def _check_int_branch(length: object, count: object) -> None:
         raise InvalidSpecError(f"branch length {length!r} and count {count!r} must be integers")
 
 
-@dataclass(frozen=True)
 class StarlikeSpec:
     """Branch-length multiset of a starlike tree, and the clique at its root.
 
@@ -55,15 +53,16 @@ class StarlikeSpec:
     at least three. clique_size is 1 for a plain starlike tree; a clique of
     3 or more vertices sharing its hub with the root makes a GenStarlikeSpec.
 
+    A spec is immutable and hashable. Two specs are equal when they have the
+    same type, branches and clique size.
+
     Like a Graph, a spec has longest_path, census and censuses; it needs no
     budget and ignores the one it is given.
     """
 
-    branches: tuple[tuple[int, int], ...]
-    clique_size: int = field(default=1, repr=False)
-
-    def __post_init__(self) -> None:
-        n1 = self.clique_size
+    def __init__(self, branches: tuple[tuple[int, int], ...], clique_size: int = 1) -> None:
+        self.__dict__.update(branches=branches, clique_size=clique_size)
+        n1 = clique_size
         # the type follows the clique size, so a spec's class names its family
         if not _is_int(n1) or n1 < 1 or (n1 >= 3) != isinstance(self, GenStarlikeSpec):
             raise InvalidSpecError(
@@ -72,7 +71,7 @@ class StarlikeSpec:
                 " use coalesce_spec to normalize)"
             )
         prev = 0
-        for length, count in self.branches:
+        for length, count in branches:
             _check_int_branch(length, count)
             if length <= prev:
                 raise InvalidSpecError("branch lengths must be positive, distinct and ascending")
@@ -83,6 +82,22 @@ class StarlikeSpec:
             raise InvalidSpecError(
                 f"a starlike tree needs at least 3 branches, got {self.root_degree}"
             )
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.branches, self.clique_size) == (other.branches, other.clique_size)
+
+    def __hash__(self) -> int:
+        return hash((self.branches, self.clique_size))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(branches={self.branches!r})"
 
     @staticmethod
     def from_counts(counts: Mapping[int, int]) -> StarlikeSpec:
@@ -167,8 +182,8 @@ def coalesce_spec(clique_size: int, branch_counts: Mapping[int, int]) -> Starlik
     A 2-clique glued at the root is just one extra pendant edge, so that
     case returns a plain StarlikeSpec with the length-1 count bumped.
     """
-    if clique_size < 2:
-        raise InvalidSpecError(f"clique size must be >= 2, got {clique_size}")
+    if not _is_int(clique_size) or clique_size < 2:
+        raise InvalidSpecError(f"clique size must be an integer >= 2, got {clique_size!r}")
     ones = branch_counts.get(1, 0)
     # a bad length-1 count (-1 included) is left for the spec's checks to refuse
     bump = clique_size == 2 and _is_int(ones) and ones >= 0

@@ -587,11 +587,41 @@ def test_benchmark_cli_argv_parses(seed):
         parser.parse_args(job["argv"])
 
 
-def test_cli_import_leaves_out_fractions_and_decimal():
-    # Every CLI process pays for pathseq's imports; fractions pulls in decimal.
+def _loaded_modules(*argv: str) -> set[str]:
+    """Modules a fresh CLI process holds after main(argv), or after its import
+    alone when argv is empty. -S keeps site's .pth files from preloading
+    modules and hiding what pathseq imports."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(pathseq.__file__)))
-    code = "import sys, pathseq.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    code = "import sys, pathseq.cli\n"
+    if argv:
+        code += "assert pathseq.cli.main(sys.argv[1:]) == 0\n"
+    code += "print(*sys.modules, file=sys.stderr)"
     env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env
+    )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return set(proc.stderr.split())
+
+
+# fractions pulls in decimal; dataclasses pulls in inspect
+_NEVER_LOADED = {"fractions", "decimal", "dataclasses", "inspect"}
+
+
+def test_cli_import_loads_no_command_module():
+    loaded = _loaded_modules()
+    assert "pathseq.cli" in loaded
+    assert loaded & {*_NEVER_LOADED, "pathseq.starlike", "pathseq.reconstruct"} == set()
+
+
+def test_census_of_a_graph_loads_no_spec_module(star_file):
+    loaded = _loaded_modules("census", "--graph", star_file, "--order", "1")
+    assert "pathseq.graph" in loaded
+    assert loaded & {*_NEVER_LOADED, "pathseq.starlike", "pathseq.reconstruct"} == set()
+
+
+def test_invariant_of_a_spec_loads_no_reconstruction(spider_file):
+    argv = ("invariant", "--starlike", spider_file, "--index", "connectivity", "--order", "2")
+    loaded = _loaded_modules(*argv)
+    assert "pathseq.starlike" in loaded
+    assert loaded & {*_NEVER_LOADED, "pathseq.reconstruct"} == set()

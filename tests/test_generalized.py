@@ -85,6 +85,13 @@ def test_coalesce_refuses_an_edge_clique_over_bad_counts(counts):
         coalesce_spec(2, counts)
 
 
+@pytest.mark.parametrize("clique", ["4", None, [4], 3.0, True])
+def test_coalesce_refuses_a_clique_size_that_is_no_integer(clique):
+    # "4" and None once raised a bare TypeError from the comparison with 2
+    with pytest.raises(InvalidSpecError, match="clique size must be an integer"):
+        coalesce_spec(clique, {2: 3})
+
+
 def test_realize_generalized_degrees(glued):
     g = realize_generalized(glued)
     assert g.vertex_count == glued.vertex_count
