@@ -280,16 +280,21 @@ _COMMANDS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of every command. Given argv, only the commands named in it
+    get their flags, or all when it names none: parsing argv, help and usage
+    errors included, reads no other command's flags."""
     parser = argparse.ArgumentParser(
         prog="pathseq",
         description="Path degree-sequence censuses, closed-form invariants and reconstruction",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    named = set(argv or ()) & {name for name, *_ in _COMMANDS} or None
     for name, help_text, handler, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
-        for flag in (*flags, "format", "output"):
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+        if named is None or name in named:
+            for flag in (*flags, "format", "output"):
+                p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.set_defaults(handler=handler)
     return parser
 
@@ -299,8 +304,8 @@ def _error(kind: str, message: str) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         doc, code = args.handler(args), 0
         # JSON has no NaN or Infinity, and CSV carries the same numbers. Such

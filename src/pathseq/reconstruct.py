@@ -12,12 +12,14 @@ profile reproduces the input within tolerance.
 from __future__ import annotations
 
 from itertools import combinations
+from math import perm
 from typing import Iterator, NamedTuple
 
 from .errors import (
     AmbiguousRootError,
     BudgetMismatchError,
     FamilyMismatchError,
+    IndexEvaluationError,
     NoCandidateRootError,
     NonIntegerBranchCountError,
     ProfileMismatchError,
@@ -472,6 +474,147 @@ def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpe
     return _specs(vertex_count, max_degree)
 
 
+def _partition_counts(total: int) -> list[list[int]]:
+    """p[t][k]: the ways to write t as a sum of k positive parts, for t, k <=
+    total. A point (n1, n2, m) of a slice has p[n2 - 1][m] specs."""
+    p = [[1] + [0] * total] + [[0] * (total + 1) for _ in range(total)]
+    for t in range(1, total + 1):
+        for k in range(1, t + 1):
+            p[t][k] = p[t - 1][k - 1] + p[t - k][k]
+    return p
+
+
+# The unit roundoff of a float; the slack that covers the rounding of the
+# survey proof's own arithmetic (about 10 roundings, against 2**-40); and an
+# absolute floor for rounding in the subnormal range. See _cell_bounds.
+_U = 2.0**-53
+_SLACK = 1 + 2.0**-40
+_FLOOR = 2.0**-1000
+
+
+def _class_forms(point: tuple[int, int, int], h: int) -> list[tuple[int, int]]:
+    """(degree product, degree sum) of every class an order-h >= 1 path can
+    have at point (n1, n2, m), with hub degree R = m + n1 - 1 and clique
+    degree c = n1 - 1, from the shapes of starlike._terms: a leaf end inside
+    its branch (1, 2^h); inside a branch (2^(h+1)); a leaf, the hub and a
+    branch (1, 2^(h-1), R), which holds the root-to-leaf paths; two leaves
+    (1, 2^(h-2), R, 1); the hub with two branch sides (R, 2^h); and with a
+    clique, the bridges (c^a, R, 2^(h-a)) and (c^a, R, 2^(h-a-1), 1) for
+    1 <= a <= min(h - 1, c), (c^h, R) for h <= c and (c^(h+1)) for h < c.
+    Some forms may be absent from every spec; none present is missing."""
+    n1, _, m = point
+    R, c = m + n1 - 1, n1 - 1
+    forms = [(1 << h, 2 * h + 1), (2 << h, 2 * h + 2)]
+    forms += [(R << h - 1, R + 2 * h - 1), (R << h, R + 2 * h)]
+    if h >= 2:
+        forms.append((R << h - 2, R + 2 * h - 2))
+    for a in range(1, min(h, c + 1)):
+        side, total = c**a * R, R + a * c + 2 * (h - a)
+        forms += [(side << h - a, total), (side << h - a - 1, total - 1)]
+    if h <= c:
+        forms.append((c**h * R, h * c + R))
+    if h < c:
+        forms.append((c ** (h + 1), (h + 1) * c))
+    return forms
+
+
+def _path_bound(point: tuple[int, int, int], h: int) -> int:
+    """At least the number of order-h >= 1 paths of any spec at point
+    (n1, n2, m): at most C(n2, 2) in the tree, one per pair of ends; at most
+    m * perm(c, a) bridges with a clique vertices, one per branch and ordered
+    choice; and, in the clique, perm(c, h) for each of the h // 2 + 1 places
+    of the hub, and perm(c, h + 1) / 2 without it."""
+    n1, n2, m = point
+    c = n1 - 1
+    bridges = m * sum(perm(c, a) for a in range(1, min(h, c + 1)))
+    return n2 * (n2 - 1) // 2 + bridges + perm(c, h) * (h // 2 + 1) + perm(c, h + 1) // 2
+
+
+def _cell_bounds(f: InvariantFunction, point: tuple[int, int, int], h: int) -> tuple:
+    """(M, V, E) for the order-h values at point, f a built-in with a
+    product-sum form: M bounds |f| over _class_forms, V = _path_bound * M
+    bounds |v| for v the exact sum of count * f(class) over a census, and E
+    bounds the distance from v to its computed value, and to the exact real
+    value of f's formula.
+
+    A value is fsum(count * f(class)). Each product rounds once, twice when
+    count > 2**53, and fsum once more, so the computed value is within
+    (3u + O(u^2)) V of v, u = 2**-53, plus one 2**-1075 per class in the
+    subnormal range. Each built-in's f is within 4u of its formula, so E =
+    8u V + 2**-1000 covers both. All three are inf when f is inf or NaN at a
+    form, or V + E >= 2**1000: below that no fsum overflows. ArithmeticError
+    where f raises."""
+    g = f.multiset
+    values = [abs(g(p, s)) for p, s in _class_forms(point, h)]
+    top = max(values)
+    v = _path_bound(point, h) * top
+    e = 8 * _U * v + _FLOOR
+    if all(x < float("inf") for x in values) and v + e < 2.0**1000:
+        return top, v, e
+    return (float("inf"),) * 3
+
+
+def _cell_separates(f: InvariantFunction, point: tuple[int, int, int], h: int, tol: float) -> bool:
+    """True when any two specs at point whose branch counts first differ at
+    length h separate at order h: their order-h values are not _close.
+
+    Below h their censuses are equal, so their values are bit for bit equal.
+    At h their censuses differ by dc (length-h branches, |dc| >= 1) times
+    the leaf swap: one class (1, 2^(h-1), R) more, one (R, 2^h) and one
+    (1, 2^h) fewer, and one (2^(h+1)) more (mu_coefficient). So the exact
+    sums over the computed f differ by dc * mu*, mu* the exact sum of those
+    four computed values, each at most M in size. mu = mu_row's value at R
+    is mu* rounded three times: |mu - mu*| <= u (|mu| / (1 - u) + 4M). The
+    computed values differ by at least |mu*| - 2E and are each at most V + E
+    in size, so they are not _close if (|mu| (1 - 2u) - 4uM - 2E)(1 - u) >
+    tol * max(1, V + E)(1 + u). _SLACK covers the factors in u and the
+    rounding of this test, which a NaN and an infinite bound fail.
+    """
+    top, v, e = _cell_bounds(f, point, h)
+    mu = mu_row(f, h, (point[2] + point[0] - 1,))[0]
+    return abs(mu) > _SLACK * (4 * _U * top + 2 * e + tol * max(1.0, v + e))
+
+
+def _proven(points: list[tuple[int, int, int]], f: InvariantFunction, tol: float) -> bool:
+    """True when no two specs of a slice collide, decided from its points
+    without listing a spec (the paper's second result, with margins).
+
+    Specs at two points are apart at order 0: every pair of the points'
+    order-0 values is not _close. Specs at one point (n1, n2, m) first
+    differ at a length h <= (n2 - 1 - m) // 2: of the two, the one with more
+    length-h branches has one longer than h (their branches of length >= h
+    have one total length), so the other has two, and its m - 2 others are
+    at least 1 long. Each such cell (point, h) must pass _cell_separates.
+    Then every pair separates at its first difference, and the sweep finds
+    no collision.
+
+    Built-ins with a product-sum form only. False when a check fails or f
+    raises: the sweep then runs as it would have. The sweep evaluates every
+    spec through SWEEP_ORDER, and a pair up to where it separates; each of
+    those orders has finite _cell_bounds, so none of its evaluations raises
+    when this returns True.
+    """
+    if f.multiset is None:
+        return False
+    try:
+        zero = [_evaluate((*point, {}), 0, f) for point in points]
+        if any(_close(x, y, tol) for x, y in combinations(zero, 2)):
+            return False
+        for point in points:
+            _, n2, m = point
+            cells = (n2 - 1 - m) // 2
+            for h in range(1, max(cells, SWEEP_ORDER) + 1):
+                if h <= cells:
+                    ok = _cell_separates(f, point, h, tol)
+                else:
+                    ok = _cell_bounds(f, point, h)[1] < float("inf")
+                if not ok:
+                    return False
+    except (ArithmeticError, IndexEvaluationError):
+        return False
+    return True
+
+
 class SurveyReport(NamedTuple):
     """All-pairs distinguishability outcome for one family slice."""
 
@@ -510,11 +653,10 @@ def survey_distinguishability(
 ) -> SurveyReport:
     """Find every unordered pair of same-size specs whose profiles collide.
 
-    Specs are sorted by their value at SWEEP_ORDER, and only pairs _close
-    there are compared further, order by order up to their first
-    difference. For x <= y and 0 <= tol < 1, y - x - tol * max(1, |x|, |y|)
-    strictly increases in y, so the walk forward from each spec can stop at
-    the first value not _close. The collisions come out in all-pairs order.
+    First _proven tries to show, without listing a spec, that no pair
+    collides; the spec count is then a sum of partition counts. Otherwise
+    _sweep lists the specs and compares them. Both ways give the same report,
+    or raise the same error.
     """
     _check_tol(tol)
     starlike = family == "starlike"
@@ -523,8 +665,34 @@ def survey_distinguishability(
             "family must be 'starlike' (no hub degree) or 'generalized' (with one), "
             f"got {family!r} and {max_degree!r}"
         )
-    specs = starlike_specs(vertex_count) if starlike else _specs(vertex_count, max_degree)
+    points = list(_order0_points(vertex_count, max_degree).values())
+    if _proven(points, f, tol):
+        table = _partition_counts(max((n2 - 1 for _, n2, _ in points), default=0))
+        count, collisions = sum(table[n2 - 1][m] for _, n2, m in points), []
+    else:
+        specs = starlike_specs(vertex_count) if starlike else _specs(vertex_count, max_degree)
+        count, collisions = len(specs), _sweep(specs, f, tol)
+    return SurveyReport(
+        family=family,
+        vertex_count=vertex_count,
+        max_degree=max_degree,
+        index=f.name,
+        tolerance=tol,
+        spec_count=count,
+        pairs_checked=count * (count - 1) // 2,
+        collisions=collisions,
+    )
 
+
+def _sweep(specs: list[StarlikeSpec], f: InvariantFunction, tol: float) -> list[tuple]:
+    """Every pair of specs whose profiles collide, in all-pairs order.
+
+    Specs are sorted by their value at SWEEP_ORDER, and only pairs _close
+    there are compared further, order by order up to their first
+    difference. For x <= y and 0 <= tol < 1, y - x - tol * max(1, |x|, |y|)
+    strictly increases in y, so the walk forward from each spec can stop at
+    the first value not _close.
+    """
     h_max = max((s.longest_path_length for s in specs), default=0)
     rows = _LazyRows(specs, f)
     k = min(SWEEP_ORDER, h_max)
@@ -539,13 +707,4 @@ def survey_distinguishability(
             if rows.first_difference(i, j, h_max, tol) is None:
                 pairs.append((min(i, j), max(i, j)))
             b += 1
-    return SurveyReport(
-        family=family,
-        vertex_count=vertex_count,
-        max_degree=max_degree,
-        index=f.name,
-        tolerance=tol,
-        spec_count=len(specs),
-        pairs_checked=len(specs) * (len(specs) - 1) // 2,
-        collisions=[(specs[i], specs[j]) for i, j in sorted(pairs)],
-    )
+    return [(specs[i], specs[j]) for i, j in sorted(pairs)]

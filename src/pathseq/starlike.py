@@ -61,15 +61,7 @@ class StarlikeSpec:
     """
 
     def __init__(self, branches: tuple[tuple[int, int], ...], clique_size: int = 1) -> None:
-        self.__dict__.update(branches=branches, clique_size=clique_size)
-        n1 = clique_size
-        # the type follows the clique size, so a spec's class names its family
-        if not _is_int(n1) or n1 < 1 or (n1 >= 3) != isinstance(self, GenStarlikeSpec):
-            raise InvalidSpecError(
-                f"got clique size {n1!r}: a StarlikeSpec has 1, and a GenStarlikeSpec's"
-                " clique_size must be >= 3 (a 2-clique just adds a pendant branch;"
-                " use coalesce_spec to normalize)"
-            )
+        self._set(branches, clique_size)
         prev = 0
         for length, count in branches:
             _check_int_branch(length, count)
@@ -81,6 +73,18 @@ class StarlikeSpec:
         if self.root_degree < 3:
             raise InvalidSpecError(
                 f"a starlike tree needs at least 3 branches, got {self.root_degree}"
+            )
+
+    def _set(self, branches: tuple[tuple[int, int], ...], clique_size: int) -> None:
+        """Fill both fields, and check the clique size; the branches are the caller's."""
+        self.__dict__.update(branches=branches, clique_size=clique_size)
+        n1 = clique_size
+        # the type follows the clique size, so a spec's class names its family
+        if not _is_int(n1) or n1 < 1 or (n1 >= 3) != isinstance(self, GenStarlikeSpec):
+            raise InvalidSpecError(
+                f"got clique size {n1!r}: a StarlikeSpec has 1, and a GenStarlikeSpec's"
+                " clique_size must be >= 3 (a 2-clique just adds a pendant branch;"
+                " use coalesce_spec to normalize)"
             )
 
     def __setattr__(self, name: str, value: object = None) -> None:
@@ -170,7 +174,11 @@ class GenStarlikeSpec(StarlikeSpec):
     """A clique on clique_size >= 3 vertices sharing one vertex with the star root."""
 
     def __init__(self, clique_size: int, star: StarlikeSpec) -> None:
-        super().__init__(star.branches, clique_size)
+        if isinstance(star, StarlikeSpec):
+            # a spec's branches passed their checks when it was built, and cannot change
+            self._set(star.branches, clique_size)
+        else:
+            super().__init__(star.branches, clique_size)
 
     def __repr__(self) -> str:
         return f"GenStarlikeSpec(clique_size={self.clique_size!r}, star={self.star!r})"

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -569,6 +570,65 @@ def test_flag_table_has_at_most_61_slots():
     assert sum(map(len, slots.values())) <= 61
     for flags in slots.values():
         assert "format" in flags and "output" in flags
+
+
+# each command's flags, as README's command table lists them
+COMMAND_FLAGS = {
+    "invariant": ("graph", "starlike", "generalized", "index", "budget", "order"),
+    "profile": ("graph", "starlike", "generalized", "index", "budget", "max-order"),
+    "census": ("graph", "starlike", "generalized", "budget", "order"),
+    "verify": ("graph", "starlike", "generalized", "index", "tol", "budget", "max-order"),
+    "reconstruct": ("graph", "starlike", "generalized", "index", "tol", "budget"),
+    "distinguish": ("graph", "starlike", "generalized", "index", "tol"),
+    "check-conditions": ("theorem", "index", "tol", "x-max", "t-max"),
+    "survey": ("family", "size", "max-degree", "index", "tol"),
+}
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_help_lists_its_flags(capsys, command):
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert done.value.code == 0
+    listed = re.findall(r"^  (--[a-z-]+)", out, re.MULTILINE)
+    assert listed == [f"--{flag}" for flag in (*COMMAND_FLAGS[command], "format", "output")]
+    # byte for byte the help of the parser that has every command's flags
+    assert out == _subparsers(_build_parser())[command].format_help()
+
+
+def test_parser_adds_the_flags_of_the_named_command_only():
+    commands = _subparsers(_build_parser(["census", "--graph", "g.txt", "--order", "1"]))
+    assert set(commands) == set(COMMAND_FLAGS)
+    flagged = {name for name, p in commands.items() if len(p._actions) > 1}
+    assert flagged == {"census"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--help"],
+        ["nope"],
+        ["--bogus", "survey", "--size", "8", "--index", "connectivity"],
+        ["survey", "--size", "0", "--index", "connectivity"],
+        ["survey", "--size", "8"],
+        ["census", "--order", "1", "--index", "connectivity"],
+        ["check-conditions", "--theorem", "9", "--index", "connectivity"],
+        ["distinguish", "--tol", "1.5", "--index", "connectivity"],
+    ],
+)
+def test_usage_errors_match_the_parser_with_every_flag(capsys, argv):
+    with pytest.raises(SystemExit) as lazy:
+        main(argv)
+    lazy_out = capsys.readouterr()
+    with pytest.raises(SystemExit) as full:
+        _build_parser().parse_args(argv)
+    assert (lazy.value.code, lazy_out) == (full.value.code, capsys.readouterr())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

@@ -1,9 +1,11 @@
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathseq.starlike
 from conftest import generalized_sweep
 from oracle import close, graph_edges, oracle_census, oracle_invariant, oracle_longest_path
 from pathseq import (
@@ -54,6 +56,21 @@ def test_spec_is_the_starlike_spec_with_a_clique(spider, glued):
     assert spider.clique_size == 1 and spider.max_degree == spider.root_degree
     assert not isinstance(spider, GenStarlikeSpec)
     assert repr(glued) == f"GenStarlikeSpec(clique_size=4, star={spider!r})"
+
+
+def test_a_coalesced_spec_checks_its_star_once(monkeypatch, spider):
+    calls, real = [], pathseq.starlike._check_int_branch
+    monkeypatch.setattr(
+        pathseq.starlike, "_check_int_branch", lambda *a: calls.append(a) or real(*a)
+    )
+    # the star passed the branch checks when it was built; only the clique size is new
+    assert GenStarlikeSpec(4, spider).branches == spider.branches and calls == []
+    # from_counts reads both entries, and the star's constructor both branches
+    coalesce_spec(4, {1: 1, 2: 2})
+    assert len(calls) == 4
+    # a star that is no spec still has its branches checked
+    with pytest.raises(InvalidSpecError, match="at least 3 branches"):
+        GenStarlikeSpec(4, SimpleNamespace(branches=((2, 2),)))
 
 
 def test_coalesce_normalizes_an_edge_clique():

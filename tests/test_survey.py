@@ -1,32 +1,54 @@
-"""The sorted survey sweep finds exactly the collisions of an all-pairs scan,
-and distinguish the first difference of two whole profiles, while neither
-builds a census no comparison reads."""
+"""The survey finds exactly the collisions of an all-pairs scan, whether its
+proof decides the slice or its sorted sweep does, and distinguish the first
+difference of two whole profiles, while neither builds a census no
+comparison reads. The proof's bounds hold against exact values."""
 
+import decimal
 import math
+from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pathseq.reconstruct
 import pathseq.starlike
 from oracle import close
 from pathseq import (
+    IndexEvaluationError,
     InvariantFunction,
     StarlikeSpec,
     builtin,
     distinguish,
     generalized_specs,
+    invariant_from_census,
     invariant_profile,
     starlike_profile,
     starlike_specs,
     survey_distinguishability,
 )
-from pathseq.reconstruct import _first_difference
+from pathseq.reconstruct import (
+    _branch_sets,
+    _cell_bounds,
+    _cell_separates,
+    _class_forms,
+    _first_difference,
+    _order0_points,
+    _partition_counts,
+    _path_bound,
+    _proven,
+)
+from pathseq.starlike import _point
 
 # takes both signs, e.g. f(1) < 0 < f(3, 2)
 MIXED = InvariantFunction("mixed-sign", lambda d: (sum(d) - 2.2 * len(d)) / math.prod(d))
 INDICES = [builtin("connectivity"), builtin("path-count"), MIXED]
+# every built-in with a product-sum form, path-count aside (its slopes are 0)
+PROVABLE = [builtin("connectivity"), builtin("sum-connectivity"), builtin("hyper-zagreb"),
+            builtin("power", 0.5), builtin("power", -1)]
+SURVEY_INDICES = INDICES + PROVABLE[1:]
 # NaN on every path through a root of degree >= 5
 NAN_HUB = InvariantFunction("nan-hub", lambda d: math.nan if max(d) >= 5 else 1.0 / sum(d))
 
@@ -48,15 +70,30 @@ SLICES = [("starlike", n, None) for n in range(4, 17)] + [
 ]
 
 
+def swept(monkeypatch, *args):
+    """The survey as its sweep alone gives it."""
+    with monkeypatch.context() as patch:
+        patch.setattr(pathseq.reconstruct, "_proven", lambda *_: False)
+        return survey_distinguishability(*args)
+
+
 @pytest.mark.parametrize("tol", [1e-9, 0.3])
-@pytest.mark.parametrize("f", INDICES, ids=[f.name for f in INDICES])
-def test_sweep_matches_all_pairs(f, tol):
+@pytest.mark.parametrize("f", SURVEY_INDICES, ids=[f.name for f in SURVEY_INDICES])
+def test_sweep_matches_all_pairs(monkeypatch, f, tol):
+    proven = 0
     for family, n, r in SLICES:
         report = survey_distinguishability(n, f, family, r, tol)
         specs = starlike_specs(n) if r is None else generalized_specs(n, r)
         assert report.spec_count == len(specs)
         assert report.pairs_checked == len(specs) * (len(specs) - 1) // 2
         assert report.collisions == all_pairs(specs, f, tol), (family, n, r)
+        assert report == swept(monkeypatch, n, f, family, r, tol)
+        proven += _proven(list(_order0_points(n, r).values()), f, tol)
+    # the proof decides most slices at the default tolerance, and needs a product-sum form
+    if f in PROVABLE and tol < 0.3:
+        assert proven > len(SLICES) // 2
+    if f.multiset is None:
+        assert proven == 0
 
 
 def test_specs_with_nan_values_collide_with_nothing():
@@ -121,9 +158,10 @@ def census_orders(monkeypatch):
     return orders
 
 
-def test_survey_builds_each_census_once_per_branch_count_prefix(census_orders):
-    # an all-pairs scan of whole profiles builds 7,569 censuses here
-    report = survey_distinguishability(21, builtin("connectivity"))
+def test_survey_builds_each_census_once_per_branch_count_prefix(monkeypatch, census_orders):
+    # an all-pairs scan of whole profiles builds 7,569 censuses here; the
+    # proof, which would decide this slice, is set aside
+    report = swept(monkeypatch, 21, builtin("connectivity"))
     assert report.spec_count == 616 and report.collisions == []
     assert len(census_orders) <= 2000
 
@@ -143,3 +181,158 @@ def test_distinguish_builds_no_census_past_the_separating_order(census_orders, a
     a, b = StarlikeSpec.from_counts(a), StarlikeSpec.from_counts(b)
     assert distinguish(a, b, builtin("connectivity")) == order
     assert census_orders == built
+
+
+@pytest.fixture
+def merged_orders(monkeypatch):
+    """The order of every census merge_terms builds, in build order."""
+    orders = []
+    real_merge = pathseq.starlike.merge_terms
+
+    def counted(order, point):
+        orders.append(order)
+        return real_merge(order, point)
+
+    monkeypatch.setattr(pathseq.starlike, "merge_terms", counted)
+    return orders
+
+
+@pytest.mark.parametrize("f", PROVABLE[:2], ids=[f.name for f in PROVABLE[:2]])
+@pytest.mark.parametrize("n, r", [(21, None), (30, None), (22, 9)])
+def test_a_proven_slice_builds_no_census_past_order_0(merged_orders, f, n, r):
+    report = survey_distinguishability(n, f, "starlike" if r is None else "generalized", r)
+    assert report.collisions == [] and report.spec_count == len(family(n, r))
+    # one order-0 census per point, for its value; no spec is listed
+    assert merged_orders == [0] * len(_order0_points(n, r))
+
+
+def test_partition_counts_count_the_branch_sets():
+    table = _partition_counts(39)
+    assert table[0] == [1] + [0] * 39
+    for total in range(1, 40):
+        assert table[total][0] == 0
+        for parts in range(1, 40):
+            assert table[total][parts] == len(list(_branch_sets(total, parts))), (total, parts)
+
+
+def test_partition_count_of_a_slice_is_its_listing_length():
+    table = _partition_counts(40)
+
+    def count(n, r=None):
+        return sum(table[n2 - 1][m] for _, n2, m in _order0_points(n, r).values())
+
+    for n in range(1, 41):
+        assert count(n) == len(starlike_specs(n))
+        # every hub degree would list 633,435 specs; a seventh of them, varied with n
+        for r in range(n % 7 + 1, n + 2, 7):
+            assert count(n, r) == len(generalized_specs(n, r)), (n, r)
+    assert survey_distinguishability(40, builtin("connectivity")).spec_count == count(40) == 31165
+    # a hub degree past the size leaves no spec, and no table to fill
+    empty = survey_distinguishability(10**9, builtin("connectivity"), "generalized", 10**9)
+    assert empty.spec_count == 0
+
+
+def outcome(call):
+    """What a call gives: its result, or its error's type and text."""
+    try:
+        return call()
+    except IndexEvaluationError as exc:
+        return type(exc), str(exc)
+
+
+# power:100 overflows past the orders the sweep reads on starlike n = 21, so
+# the proof gives up and the sweep succeeds; power:120 overflows inside them
+@pytest.mark.parametrize("alpha", [60, 100, 120, 150, 300, -150])
+def test_an_overflowing_index_raises_just_where_the_sweep_does(monkeypatch, alpha):
+    f = builtin("power", alpha)
+    outcomes = set()
+    for family, n, r in [("starlike", 12, None), ("starlike", 21, None),
+                         ("generalized", 18, 7), ("generalized", 22, 9)]:
+        got = outcome(lambda: survey_distinguishability(n, f, family, r))
+        assert got == outcome(lambda: swept(monkeypatch, n, f, family, r, 1e-9)), (family, n, r)
+        outcomes.add(type(got))
+    assert alpha > 0 or outcomes == {pathseq.reconstruct.SurveyReport}
+
+
+def family_point(spec):
+    return _point(spec)[:3]
+
+
+@cache
+def by_point(n, r):
+    groups = {}
+    for spec in family(n, r):
+        groups.setdefault(family_point(spec), []).append(spec)
+    return groups
+
+
+@pytest.mark.parametrize(
+    "n, r", [(n, None) for n in range(4, 15)] + [(n, r) for n in range(8, 14) for r in (5, 7, 9)]
+)
+def test_class_forms_and_path_bound_cover_every_census(n, r):
+    for (n1, n2, m), specs in by_point(n, r).items():
+        cells = (n2 - 1 - m) // 2
+        for a, b in combinations(specs, 2):
+            # two specs at one point first differ at a length within the cells
+            assert next(h for h in range(1, n) if a.count(h) != b.count(h)) <= cells
+        for spec in specs:
+            for h in range(1, spec.longest_path_length + 1):
+                census = spec.census(h)
+                forms = set(_class_forms((n1, n2, m), h))
+                assert {(math.prod(d), sum(d)) for d in census.entries} <= forms, (spec, h)
+                assert census.total <= _path_bound((n1, n2, m), h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(FAMILY_SLICES),
+    st.sampled_from(PROVABLE),
+    st.sampled_from([0.0, 1e-9, 1e-4, 0.3]),
+    st.data(),
+)
+def test_pairs_of_a_proven_cell_separate_at_its_length(slice_, f, tol, data):
+    a = data.draw(st.sampled_from(family(*slice_)), label="a")
+    b = data.draw(st.sampled_from(by_point(*slice_)[family_point(a)]), label="b")
+    if a != b:
+        h = next(h for h in range(1, a.vertex_count) if a.count(h) != b.count(h))
+        if _cell_separates(f, family_point(a), h, tol):
+            assert distinguish(a, b, f, tol) == h
+
+
+def _exact_power(k):
+    return lambda d: Fraction(math.prod(d)) ** k
+
+
+# exact values of f's formula, as fractions
+EXACT = {
+    "path-count": (builtin("path-count"), lambda d: Fraction(1)),
+    "hyper-zagreb": (builtin("hyper-zagreb"), _exact_power(2)),
+    "power:1.0": (builtin("power", 1), _exact_power(1)),
+    "power:3.0": (builtin("power", 3), _exact_power(3)),
+    "power:-2.0": (builtin("power", -2), _exact_power(-2)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILY_SLICES), st.sampled_from([*EXACT, "connectivity"]), st.data())
+def test_value_bounds_hold_against_exact_values(slice_, name, data):
+    spec = data.draw(st.sampled_from(family(*slice_)), label="spec")
+    h = data.draw(st.integers(1, spec.longest_path_length), label="h")
+    f, exact = EXACT.get(name, (builtin("connectivity"), None))
+    census = spec.census(h)
+    top, v, e = _cell_bounds(f, family_point(spec), h)
+    value = invariant_from_census(census, f)
+    # the exact sum over f's computed values, which the proof compares
+    over_computed = sum(count * Fraction(f(d)) for d, count in census.entries.items())
+    assert abs(over_computed) <= v and abs(Fraction(value) - over_computed) <= e
+    assert all(abs(f(d)) <= top for d in census.entries)
+    if exact is None:
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            formula = sum(count / decimal.Decimal(math.prod(d)).sqrt()
+                          for d, count in census.entries.items())
+            assert abs(decimal.Decimal(value) - formula) <= decimal.Decimal(e)
+            assert abs(formula) <= decimal.Decimal(v) + decimal.Decimal(e)
+    else:
+        formula = sum(count * exact(d) for d, count in census.entries.items())
+        assert abs(Fraction(value) - formula) <= e and abs(formula) <= v + e
