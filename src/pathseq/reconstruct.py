@@ -11,8 +11,9 @@ profile reproduces the input within tolerance.
 
 from __future__ import annotations
 
-from itertools import combinations
-from math import perm
+from itertools import combinations, pairwise, repeat
+from math import inf, ldexp, perm
+from operator import ge
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_TOL,
+    _SIMPLE_BUILTINS,
     InvariantFunction,
     _check_tol,
     _close,
@@ -156,7 +158,7 @@ def _check_conditions(
     _condition_a; (b) turning a deep leaf into an interior vertex must move
     the invariant differently at root degree 3 <= x <= x_max than at degree
     2, at every depth t <= t_max. Its margin is |mu_coefficient(f, t + 1,
-    x)|, from mu_row; a NaN margin fails and is no minimum."""
+    x)|, from _rows_b; a NaN margin fails and is no minimum."""
     _check_tol(tol)
     if x_max < 4 or t_max < 0:
         raise ValueError(f"need x_max >= 4 and t_max >= 0; got {x_max}, {t_max}")
@@ -169,16 +171,63 @@ def _check_conditions(
         witness_a, min_a = _condition_a(g, f((1,)), tol)
     roots = list(_order0_points(x_max + 1))
     witness_b, min_b = None, float("inf")
-    for t in range(t_max + 1):
-        row = list(map(abs, mu_row(f, t + 1, roots)))
-        # margins are >= 0 or NaN, so their sum is NaN just when one is
-        total = sum(row)
-        low = min(row) if total == total else min([m for m in row if m == m], default=min_b)
+    for t, (row, low, finite, k) in enumerate(_rows_b(f, roots, t_max)):
+        low = ldexp(low, k)
         min_b = min(min_b, low)
-        if witness_b is None and not (low > tol and total == total):
-            witness_b = next(((t, x) for x, m in zip(roots, row) if not m > tol), None)
+        if witness_b is None and not (low > tol and finite):
+            witness_b = next(((t, x) for x, m in zip(roots, row) if not ldexp(m, k) > tol), None)
     ok = (witness_a is None, witness_b is None)
     return ConditionReport(family, x_max, t_max, tol, *ok, witness_a, witness_b, min_a, min_b)
+
+
+_SCALED = {"connectivity": (2, -1, 1023), "hyper-zagreb": (1, 2, 511), "path-count": (1, 0, inf)}
+
+
+def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tuple]:
+    """(row, low, finite, k) for each depth t <= t_max: |mu_row(f, t + 1, roots)|,
+    or a prefix holding its least and first failure, is row times 2**k, bit for
+    bit; low is row's least non-NaN value, finite False if one is NaN.
+
+    Sum-connectivity reads degree sums s only: its rows are the same float
+    subtractions from D[s] = psi(s) - psi(s + 1), tabled for x_max - 2 depths
+    at a time to keep memory O(x_max). Rounding is monotone, so where D is
+    nonincreasing, a row's first margin is its least and first failure. For
+    name: (j, e, bits) in _SCALED, each product p = x << t that mu_row reads
+    doubles with t; float(p), 1 / sqrt(p), p * p and the row's subtractions
+    are correctly rounded, and scaling by a power of two commutes with correct
+    rounding of normal floats. So every value scales by 2**e each j depths,
+    exactly, while x_max << (t + 1) < 2**bits: then 1 / sqrt(p) > 2**-512 and
+    p * p < 2**1022, so each value is finite, and 0 or above 2**-580. Beyond,
+    and for other f (power's pow is not correctly rounded), rows come from
+    mu_row."""
+    g = f.multiset
+    own = next((name for name, (_, form) in _SIMPLE_BUILTINS.items() if form is g), None)
+    if own == "sum-connectivity":
+        for t0 in range(0, t_max + 1, len(roots)):
+            t1 = min(t0 + len(roots), t_max + 1)
+            psi = map(g, repeat(0), range(2 * t0 + 3, roots[-1] + 2 * t1 + 1))
+            d = [a - b for a, b in pairwise(psi)]
+            width = 1 if all(map(ge, d, d[1:])) else len(roots)
+            for i in range(0, 2 * (t1 - t0), 2):
+                row = [abs(v - d[i]) for v in d[i + 1 : i + 1 + width]]
+                yield row, min(row), True, 0
+        return
+    j, e, bits = _SCALED.get(own, (1, 0, 0))
+    last = min(t_max, bits - 1 - roots[-1].bit_length())
+    base = [_margins(mu_row(f, t + 1, roots)) for t in range(min(j, last + 1))]
+    for t in range(last + 1):
+        yield *base[t % j], e * (t // j)
+    for t in range(max(last + 1, 0), t_max + 1):
+        yield *_margins(mu_row(f, t + 1, roots)), 0
+
+
+def _margins(mu: list[float]) -> tuple[list[float], float, bool]:
+    """|mu|, its least non-NaN value, and whether none is NaN."""
+    row = list(map(abs, mu))
+    # margins are >= 0 or NaN, so their sum is NaN just when one is
+    total = sum(row)
+    low = min(row) if total == total else min([m for m in row if m == m], default=inf)
+    return row, low, total == total
 
 
 def check_starlike_conditions(

@@ -6,6 +6,7 @@ the built-in indices."""
 import json
 import math
 import os
+from math import ldexp
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,8 @@ from pathseq import (
     register_invariant,
     resolve_index,
 )
-from pathseq.reconstruct import _condition_a
+from pathseq import reconstruct
+from pathseq.reconstruct import _condition_a, _rows_b
 
 CHECKS = {"starlike": check_starlike_conditions, "generalized": check_generalized_conditions}
 PINNED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "condition_reports.json")
@@ -209,12 +211,31 @@ def condition_b_cases(draw):
 @example((builtin("connectivity"), "starlike", 64, 60, 1e-9))
 @example((TUPLE_ONLY["nan-at-3"], "generalized", 300, 60, 0.0))
 @example((builtin("path-count"), "starlike", 4, 0, 0.0))
+# Past the ends of the built-ins' exact rows: connectivity's products pass
+# the largest float at order 1021 or 1022, and hyper-zagreb's squares
+# overflow once x << (t + 1) >= 2**512, so its margins turn NaN there and
+# fail (b) while the least margin stays 15.0 at depth 0.
+@example((builtin("connectivity"), "starlike", 4, 1023, 1e-9))
+@example((builtin("connectivity"), "generalized", 5, 1025, 0.0))
+@example((builtin("connectivity"), "starlike", 8, 1021, 0.3))
+@example((builtin("hyper-zagreb"), "starlike", 5, 520, 1e-9))
+@example((builtin("hyper-zagreb"), "generalized", 8, 515, 0.0))
+@example((builtin("path-count"), "generalized", 4, 2000, 0.0))
+@example((builtin("sum-connectivity"), "starlike", 4, 2000, 1e-9))
+@example((builtin("sum-connectivity"), "generalized", 7, 2000, 0.0))
 def test_condition_b_equals_the_scan_of_every_degree_tuple(case):
     f, family, x_max, t_max, tol = case
-    witness, low = oracle_condition_b(f.fn, x_max, t_max, tol)
-    report = CHECKS[family](f, x_max, t_max, tol)
-    got = (report.condition_b, report.counterexample_b, report.min_margin_b.hex())
-    assert got == (witness is None, witness, low.hex())
+
+    def oracle():
+        # f names its index and the order in an error, as the scan does
+        witness, low = oracle_condition_b(f, x_max, t_max, tol)
+        return witness is None, witness, low.hex()
+
+    def scan():
+        report = CHECKS[family](f, x_max, t_max, tol)
+        return report.condition_b, report.counterexample_b, report.min_margin_b.hex()
+
+    assert _outcome(scan) == _outcome(oracle)
 
 
 def _outcome(call, *args):
@@ -241,3 +262,95 @@ def test_mu_row_from_the_product_sum_form_equals_the_tuples(name, h, xs):
     want = _outcome(mu_row, InvariantFunction(f.name, f.fn), h, xs)
     assert _outcome(mu_row, f, h, xs) == want
     assert _outcome(lambda: [mu_coefficient(f, h, x) for x in xs]) == want
+
+
+def _scan_rows(f, roots, t_max):
+    """Each depth's |mu_row| row, least non-NaN margin and whether none is
+    NaN, then the first error's message, if any."""
+    rows = []
+    try:
+        for t in range(t_max + 1):
+            row = [abs(m) for m in mu_row(f, t + 1, roots)]
+            low = min([m for m in row if m == m], default=math.inf)
+            rows.append((row, low, all(m == m for m in row)))
+    except IndexEvaluationError as exc:
+        rows.append(str(exc))
+    return rows
+
+
+@pytest.mark.parametrize("name", BUILT_INS)
+@pytest.mark.parametrize("x_max", [4, 7, 8, 63, 64, 65])
+def test_built_in_rows_scale_or_shift_exactly_up_to_the_first_error(name, x_max):
+    # Depth 1030 is past the end of every exact range; a row shorter than
+    # mu_row's is a prefix, which holds the least margin.
+    f, roots = builtin(name), list(range(3, x_max + 1))
+    want, got = _scan_rows(f, roots, 1030), []
+    try:
+        for (row, low, finite, k), scanned in zip(_rows_b(f, roots, 1030), want):
+            got.append(([ldexp(m, k) for m in row] + scanned[0][len(row) :], ldexp(low, k), finite))
+    except IndexEvaluationError as exc:
+        got.append(str(exc))
+    assert repr(got) == repr(want)
+
+
+def _counted_rows(monkeypatch):
+    """The depths of the rows that the scan reads from mu_row."""
+    depths = []
+
+    def counted(f, h, degrees):
+        depths.append(h - 1)
+        return mu_row(f, h, degrees)
+
+    monkeypatch.setattr(reconstruct, "mu_row", counted)
+    return depths
+
+
+@pytest.mark.parametrize("family", sorted(CHECKS))
+@pytest.mark.parametrize(
+    "name, rows",
+    [("connectivity", 2), ("hyper-zagreb", 1), ("path-count", 1), ("sum-connectivity", 0),
+     ("power:0.5", 321), ("ends", 321)],
+)
+def test_condition_b_reads_one_period_of_rows_for_the_built_ins(monkeypatch, family, name, rows):
+    f = TUPLE_ONLY.get(name) or resolve_index(name)
+    depths = _counted_rows(monkeypatch)
+    CHECKS[family](f, 64, 320)
+    assert depths == list(range(rows))
+
+
+CONNECTIVITY = builtin("connectivity")
+LOOKALIKES = {
+    # what a traced benchmark run builds: the built-in's tuple form only
+    "traced": (InvariantFunction("connectivity", CONNECTIVITY.fn), 41),
+    # a built-in's name on another product-sum form of the same index
+    "named": (InvariantFunction("hyper-zagreb", CONNECTIVITY.fn, lambda p, s: 1.0 / math.sqrt(p)),
+              41),
+    # the built-in's own form under another name takes the exact rows
+    "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(CHECKS))
+@pytest.mark.parametrize("kind", sorted(LOOKALIKES))
+def test_only_a_built_ins_own_form_takes_its_exact_rows(monkeypatch, family, kind):
+    f, rows = LOOKALIKES[kind]
+    depths = _counted_rows(monkeypatch)
+    report = CHECKS[family](f, 30, 40, 1e-12)
+    witness, low = oracle_condition_b(f, 30, 40, 1e-12)
+    assert depths == list(range(rows))
+    assert (report.counterexample_b, report.min_margin_b.hex()) == (witness, low.hex())
+    assert report == CHECKS[family](CONNECTIVITY, 30, 40, 1e-12)
+
+
+@pytest.mark.parametrize("family", sorted(CHECKS))
+def test_sum_connectivity_rows_hold_where_its_differences_are_out_of_order(monkeypatch, family):
+    # Rounding leaves D nonincreasing on every table tried; were it not, each
+    # row would be read whole. Pretend no pair is in order. The rows fail
+    # from depth 151.
+    f = builtin("sum-connectivity")
+    want = CHECKS[family](f, 40, 200, 4.65e-7)
+    monkeypatch.setattr(reconstruct, "ge", lambda a, b: False)
+    got = CHECKS[family](f, 40, 200, 4.65e-7)
+    witness, low = oracle_condition_b(f, 40, 200, 4.65e-7)
+    assert got == want and (got.counterexample_b, got.min_margin_b) == (witness, low)
+    assert witness == (151, 3)
