@@ -12,7 +12,7 @@ import math
 from typing import Callable, NamedTuple, Sequence
 
 from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError
-from .graph import DEFAULT_BUDGET, Census
+from .graph import DEFAULT_BUDGET, Census, Graph
 
 DEFAULT_TOL = 1e-9
 
@@ -56,8 +56,23 @@ class InvariantFunction(NamedTuple):
             raise IndexEvaluationError(message) from exc
 
 
+def _inv_sqrt(p: int, s: int = 0) -> float:
+    """1 / sqrt(p) for an int p >= 1: connectivity's form of a degree
+    product p and sum s, which it does not read.
+
+    Past the float range it is computed from q = p >> 2k, p's top 64 or 65
+    bits, as 2**-k / sqrt(q): q is within 2**-63 of p / 4**k, and the three
+    roundings that follow bring the relative error to at most 2.5 u (u =
+    2**-53) while the result is normal, as for a p that fits."""
+    try:
+        return 1.0 / math.sqrt(p)
+    except OverflowError:
+        k = p.bit_length() // 2 - 32
+        return math.ldexp(1.0 / math.sqrt(p >> 2 * k), -k)
+
+
 def _connectivity(d: tuple[int, ...]) -> float:
-    return 1.0 / math.sqrt(math.prod(d))
+    return _inv_sqrt(math.prod(d))
 
 
 def _sum_connectivity(d: tuple[int, ...]) -> float:
@@ -76,7 +91,7 @@ def _path_count(d: tuple[int, ...]) -> float:
 # Each built-in over a degree tuple, and over its (product, sum). The tuple
 # forms compute no sum they do not read.
 _SIMPLE_BUILTINS = {
-    "connectivity": (_connectivity, lambda p, s: 1.0 / math.sqrt(p)),
+    "connectivity": (_connectivity, _inv_sqrt),
     "sum-connectivity": (_sum_connectivity, lambda p, s: 1.0 / math.sqrt(s)),
     "hyper-zagreb": (_hyper_zagreb, lambda p, s: float(p) * float(p)),
     "path-count": (_path_count, lambda p, s: 1.0),
@@ -174,9 +189,11 @@ def invariant_from_census(census: Census, f: InvariantFunction) -> float:
 def evaluate_invariant(
     obj, order: int, f: InvariantFunction, budget: int = DEFAULT_BUDGET
 ) -> float:
-    """Order-h invariant of a Graph (by path enumeration) or a spec (in
-    closed form): f summed over obj.census(order, budget)."""
-    return invariant_from_census(obj.census(order, budget), f)
+    """Order-h invariant of a Graph, f summed over obj.census(order, budget)
+    by path enumeration, or of a spec, in closed form by obj.value."""
+    if isinstance(obj, Graph):
+        return invariant_from_census(obj.census(order, budget), f)
+    return obj.value(order, f)
 
 
 def invariant_profile(
@@ -184,11 +201,15 @@ def invariant_profile(
 ) -> list[float]:
     """Invariant values of a Graph or a spec for every order 0..max_order.
 
-    obj.censuses(max_order, budget) stops at the last order that can have a
-    path (n - 1 edges for a graph, the longest path for a spec); the orders
-    past it are 0.0.
+    A graph's censuses (obj.censuses(max_order, budget)) and a spec's
+    closed-form values (obj.values(f, max_order)) stop at the last order
+    that can have a path (n - 1 edges for a graph, the longest path for a
+    spec); the orders past it are 0.0.
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    values = [invariant_from_census(c, f) for c in obj.censuses(max_order, budget)]
+    if isinstance(obj, Graph):
+        values = [invariant_from_census(c, f) for c in obj.censuses(max_order, budget)]
+    else:
+        values = list(obj.values(f, max_order))
     return values + [0.0] * (max_order + 1 - len(values))

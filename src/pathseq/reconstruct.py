@@ -33,7 +33,6 @@ from .invariants import (
     _check_tol,
     _close,
     _first_difference,
-    invariant_from_census,
     invariant_profile,
 )
 from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient, mu_row
@@ -114,7 +113,9 @@ def _condition_a(g: dict[int, float], base: float, tol: float) -> tuple:
     float margin at s*. Between such x and y in H order a step of width d
     has slope <= s* + (T - s*)|x - y| / d <= L = s* + (T - s*)(max x - min
     x), so only runs of steps up to L are scanned; non-finite values or C
-    leave one run.
+    leave one run. A margin is >= 0 or NaN, so a run's scan stops once it
+    has its first failure and the least margin is 0.0: when every divided
+    difference equals base in floats (path-count), after one pair.
     """
     xs, gs = list(g), list(g.values())
     try:
@@ -147,6 +148,8 @@ def _condition_a(g: dict[int, float], base: float, tol: float) -> tuple:
                 low = margin
             if first is None and not margin > tol:
                 first = (i, j)
+            if first and low == 0.0:
+                break
         witnesses += [first] if first else []
     return (tuple(xs[i] for i in min(witnesses)) if witnesses else None), low
 
@@ -180,7 +183,7 @@ def _check_conditions(
     return ConditionReport(family, x_max, t_max, tol, *ok, witness_a, witness_b, min_a, min_b)
 
 
-_SCALED = {"connectivity": (2, -1, 1023), "hyper-zagreb": (1, 2, 511), "path-count": (1, 0, inf)}
+_SCALED = {"connectivity": (2, -1, 1800), "hyper-zagreb": (1, 2, 511), "path-count": (1, 0, inf)}
 
 
 def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tuple]:
@@ -195,11 +198,13 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     name: (j, e, bits) in _SCALED, each product p = x << t that mu_row reads
     doubles with t; float(p), 1 / sqrt(p), p * p and the row's subtractions
     are correctly rounded, and scaling by a power of two commutes with correct
-    rounding of normal floats. So every value scales by 2**e each j depths,
-    exactly, while x_max << (t + 1) < 2**bits: then 1 / sqrt(p) > 2**-512 and
-    p * p < 2**1022, so each value is finite, and 0 or above 2**-580. Beyond,
-    and for other f (power's pow is not correctly rounded), rows come from
-    mu_row."""
+    rounding of normal floats. Past the float range, connectivity's 1 / sqrt(p)
+    reads q = p >> 2k, which is x << (t - 2k) exactly for x < 2**64 (any x_max
+    a scan can reach), so it scales alike. So every value scales by 2**e each
+    j depths, exactly, while x_max << (t + 1) < 2**bits: then 1 / sqrt(p) >
+    2**-900 and p * p < 2**1022, so each value is finite, and 0 or above
+    2**-968. Beyond, and for other f (power's pow is not correctly rounded),
+    rows come from mu_row."""
     g = f.multiset
     own = next((name for name, (_, form) in _SIMPLE_BUILTINS.items() if form is g), None)
     if own == "sum-connectivity":
@@ -284,11 +289,12 @@ def _run_ladder(
     point is the candidate (n1, n2, m). At order h the closed form is
     evaluated with the counts found so far and the order-h count set to
     zero; the gap to the profile, over the slope in that count, is the
-    count.
+    count. S[k], the branches found of length <= k, grows with h.
     """
     n1, n2, m = point
     budget_len = n2 - 1
     counts: dict[int, int] = {}
+    S = [0]
     used_len = 0
     used_cnt = 0
     h = 1
@@ -303,7 +309,8 @@ def _run_ladder(
             raise NonIntegerBranchCountError(
                 f"zero slope at order {h}; this index cannot resolve branch counts"
             )
-        raw = (profile[h] - _evaluate((n1, n2, m, counts), h, f)) / slope
+        S.append(S[-1])
+        raw = (profile[h] - _evaluate((n1, n2, m, counts, S), h, f)) / slope
         k = round(raw)
         if abs(raw - k) > BRANCH_RESIDUAL_TOL:
             raise NonIntegerBranchCountError(
@@ -323,6 +330,7 @@ def _run_ladder(
                     f"({used_cnt} branches, total length {used_len})"
                 )
             counts[h] = k
+            S[h] += k
         h += 1
     if used_cnt != m:
         raise BudgetMismatchError(
@@ -414,11 +422,11 @@ class _LazyRows:
     The order-h value of a spec depends only on its clique size, tree size,
     root degree and counts of branches of length <= h (the paper's first
     result: _terms reads no longer branch), so it is computed once per such
-    prefix, from the census of the first spec that reaches it, and is
+    prefix, in closed form for the first spec that reaches it, and is
     bit-identical for every spec that shares the prefix. Past a spec's
-    longest path its census is empty and the value 0.0; there the prefix is
-    the whole spec. Each spec keeps its own row of values, extended only as
-    far as it is read. Lives for one call.
+    longest path the value is 0.0; there the prefix is the whole spec. Each
+    spec keeps its own row of values, extended only as far as it is read.
+    Lives for one call.
     """
 
     def __init__(self, specs: list[StarlikeSpec], f: InvariantFunction) -> None:
@@ -441,7 +449,7 @@ class _LazyRows:
             node = self.ids.get(key)
             if node is None:
                 node = self.ids[key] = len(self.values)
-                self.values.append(invariant_from_census(spec.census(order), self.f))
+                self.values.append(spec.value(order, self.f))
             self.prefix[i] = node
             row.append(self.values[node])
         return row[h]
@@ -589,7 +597,8 @@ def _cell_bounds(f: InvariantFunction, point: tuple[int, int, int], h: int) -> t
     A value is fsum(count * f(class)). Each product rounds once, twice when
     count > 2**53, and fsum once more, so the computed value is within
     (3u + O(u^2)) V of v, u = 2**-53, plus one 2**-1075 per class in the
-    subnormal range. Each built-in's f is within 4u of its formula, so E =
+    subnormal range. Each built-in's f is within 4u of its formula
+    (connectivity past the float range too, by invariants._inv_sqrt), so E =
     8u V + 2**-1000 covers both. All three are inf when f is inf or NaN at a
     form, or V + E >= 2**1000: below that no fsum overflows. ArithmeticError
     where f raises."""

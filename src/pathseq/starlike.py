@@ -21,18 +21,13 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from functools import cached_property
-from itertools import accumulate
-from math import perm
+from itertools import accumulate, repeat
+from math import fsum, perm
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import FormatError, IndexEvaluationError, InvalidSpecError
 from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class, read_text
-from .invariants import (
-    InvariantFunction,
-    evaluate_invariant,
-    invariant_from_census,
-    invariant_profile,
-)
+from .invariants import InvariantFunction, evaluate_invariant, invariant_profile
 
 
 def _is_int(value: object) -> bool:
@@ -57,7 +52,8 @@ class StarlikeSpec:
     same type, branches and clique size.
 
     Like a Graph, a spec has longest_path, census and censuses; it needs no
-    budget and ignores the one it is given.
+    budget and ignores the one it is given. Its value and values are its
+    invariants in closed form, by _evaluate.
     """
 
     def __init__(self, branches: tuple[tuple[int, int], ...], clique_size: int = 1) -> None:
@@ -160,14 +156,26 @@ class StarlikeSpec:
         empty, and no term is built."""
         if order > self.longest_path_length:
             return Census(order=order, entries={})
-        return _nonnegative(merge_terms(order, _point(self)))
+        return _census(order, _point(self, order))
 
     def censuses(self, max_order: int, budget: int = DEFAULT_BUDGET) -> Iterator[Census]:
         """Closed-form censuses of orders 0..min(max_order, longest path),
         built one at a time as they are consumed."""
-        point = _point(self)
-        for h in range(min(max_order, self.longest_path_length) + 1):
-            yield _nonnegative(merge_terms(h, point))
+        point = _point(self, min(max_order, self.longest_path_length))
+        return (_census(h, point) for h in range(len(point[4])))
+
+    def value(self, order: int, f: InvariantFunction) -> float:
+        """The order-h invariant; past the longest path it is 0.0, and no
+        term is built."""
+        if order > self.longest_path_length:
+            return 0.0
+        return _evaluate(_point(self, order), order, f, True)
+
+    def values(self, f: InvariantFunction, max_order: int) -> Iterator[float]:
+        """The invariants of orders 0..min(max_order, longest path),
+        evaluated one at a time as they are consumed."""
+        point = _point(self, min(max_order, self.longest_path_length))
+        return (_evaluate(point, h, f, True) for h in range(len(point[4])))
 
 
 class GenStarlikeSpec(StarlikeSpec):
@@ -199,24 +207,19 @@ def coalesce_spec(clique_size: int, branch_counts: Mapping[int, int]) -> Starlik
     return star if clique_size == 2 else GenStarlikeSpec(clique_size, star)
 
 
-def _point(spec: StarlikeSpec) -> tuple[int, int, int, Mapping[int, int]]:
-    """(n1, n2, m, L) of a spec: clique size, tree vertex count, branch count
-    and branch-length counts."""
-    n1 = spec.clique_size
-    return n1, spec.vertex_count - n1 + 1, spec.root_degree, spec.branch_counts
-
-
-def _nonnegative(census: Census) -> Census:
-    """A spec's census; a negative multiplicity means the closed forms are inconsistent."""
-    if min(census.entries.values(), default=0) < 0:
-        raise AssertionError(f"negative multiplicity in the order-{census.order} census")
-    return census
+def _point(spec: StarlikeSpec, top: int = 0) -> tuple:
+    """(n1, n2, m, L, S) of a spec: clique size, tree vertex count, branch
+    count, branch-length counts, and S[k], the number of branches of length
+    <= k, for k <= top."""
+    n1, L = spec.clique_size, spec.branch_counts
+    S = list(accumulate(map(L.get, range(top + 1), repeat(0))))
+    return n1, spec.vertex_count - n1 + 1, spec.root_degree, L, S
 
 
 def _realize(spec: StarlikeSpec) -> Graph:
     """Build a spec's graph: the hub is vertex 0, a clique fills
     1..n1-1, and the branches follow in ascending length."""
-    n1, n2, _, L = _point(spec)
+    n1, n2, _, L, _ = _point(spec)
     edges = [(i, j) for i in range(n1) for j in range(i + 1, n1)]
     nxt = n1
     for length, count in L.items():
@@ -230,62 +233,67 @@ def _realize(spec: StarlikeSpec) -> Graph:
 
 
 def _terms(
-    h: int, n1: int, n2: int, m: int, L: Mapping[int, int]
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (degree sequence, multiplicity) for every order-h path shape.
+    h: int, n1: int, n2: int, m: int, L: Mapping[int, int], S: list[int] | None = None
+) -> Iterator[tuple[tuple[tuple[int, int], ...], int]]:
+    """Yield (class, multiplicity) for every order-h path shape.
 
     The point (n1, n2, m, L) is a clique on n1 vertices sharing its hub with
-    the root of a tree on n2 vertices whose m branches have length counts L.
-    The hub's degree is m + n1 - 1; at n1 = 1 (a starlike tree) every clique
-    count is perm(0, k) = 0, and only the a = 0 bridges (paths that end at
-    the root) remain. Multiplicities are polynomial in the counts and may be
-    negative when the point is not realizable; callers that hold a valid spec
-    should assert them non-negative. Each count is computed before its
-    sequence is built, and zero counts are not yielded.
+    the root of a tree on n2 vertices whose m >= 3 branches have length
+    counts L. A class is the _canonical tuple of a degree sequence's runs
+    (degree, length), at most five; the hub degree R = m + n1 - 1 >= 3 makes
+    most shapes canonical as written, and the others pass through it. At
+    n1 = 1 (a starlike tree) every clique count is perm(0, k) = 0, and only
+    the a = 0 bridges (paths that end at the root) remain. Multiplicities
+    are polynomial in the counts and may be negative when the point is not
+    realizable; zero counts are not yielded. S, when given, holds S[k], the
+    number of branches of length <= k, for every k <= h.
     """
     if h < 0:
         raise ValueError(f"order must be >= 0, got {h}")
     R = m + n1 - 1
     c = n1 - 1
     if h == 0:
-        for seq, count in (((R,), 1), ((1,), m), ((2,), n2 - m - 1), ((c,), c)):
+        for d, count in ((R, 1), (1, m), (2, n2 - m - 1), (c, c)):
             if count:
-                yield seq, count
+                yield ((d, 1),), count
         return
 
-    # S[k]: number of branches of length <= k
-    S = list(accumulate(L.get(k, 0) for k in range(h + 1)))
+    if S is None:
+        S = list(accumulate(map(L.get, range(h + 1), repeat(0))))
     longer = m - S[h]
+    lengths = sorted([k for k in L if k <= h])
 
     # A leaf end, the other end inside the same branch (longer than h); a root end is a = 0 below
     if longer:
-        yield (1,) + (2,) * h, longer
+        yield ((1, 1), (2, h)), longer
 
     # Strictly inside a single branch: each branch of length l > h
-    # contributes l - h starting offsets minus the one leaf-ended one.
-    interior = (n2 - 1) - sum(k * L.get(k, 0) for k in range(1, h + 1)) - (h + 1) * longer
+    # contributes l - h starting offsets minus the one leaf-ended one. The
+    # shorter branches' total length reads only the lengths present.
+    interior = (n2 - 1) - sum([k * L[k] for k in lengths]) - (h + 1) * longer
     if interior:
-        yield (2,) * (h + 1), interior
+        yield ((2, h + 1),), interior
 
     # Through the root, one leaf endpoint at distance a+1, the other end
     # inside a second branch. The second branch needs length >= h-a; when the
     # leaf branch itself is that long it must be excluded.
-    for a in range(0, h - 1):
-        leaves = L.get(a + 1, 0)
-        avail = m - S[h - a - 1] - (1 if a >= h // 2 else 0)
-        if leaves and avail:
-            yield (1,) + (2,) * a + (R,) + (2,) * (h - 1 - a), leaves * avail
+    for a in [k - 1 for k in lengths if k < h]:
+        count = L[a + 1] * (m - S[h - a - 1] - (1 if a >= h // 2 else 0))
+        if count:
+            leaf = ((1, 1), (2, a)) if a else ((1, 1),)
+            yield leaf + ((R, 1), (2, h - 1 - a)), count
 
     # Through the root, both endpoints leaves: branch lengths a+1 and h-a-1.
-    for a in range(0, h // 2):
-        la, lb = a + 1, h - a - 1
+    for la in lengths:
+        lb = h - la
         if la == lb:
-            c_la = L.get(la, 0)
-            count = c_la * (c_la - 1) // 2
+            count = L[la] * (L[la] - 1) // 2
+        elif la < lb:
+            count = L[la] * L.get(lb, 0)
         else:
-            count = L.get(la, 0) * L.get(lb, 0)
+            break
         if count:
-            yield (1,) + (2,) * a + (R,) + (2,) * (h - 2 - a) + (1,), count
+            yield _canonical(((1, 1), (2, la - 1), (R, 1), (2, lb - 1), (1, 1))), count
 
     # Through the root, both endpoints strictly inside branches of lengths
     # > a and > h-a. Product of consecutive integers, so the halved midpoint
@@ -296,7 +304,7 @@ def _terms(
         else:
             count = (m - S[h - a]) * (m - 1 - S[a])
         if count:
-            yield (2,) * a + (R,) + (2,) * (h - a), count
+            yield ((2, a), (R, 1), (2, h - a)), count
 
     # Inside the clique: ordered choices of the c non-hub vertices, with the
     # hub at distance a from the nearer end (an end at a = 0, halved at the
@@ -306,10 +314,10 @@ def _terms(
     if through_hub:
         for a in range(h // 2 + 1):
             count = through_hub // 2 if a == h - a else through_hub
-            yield (c,) * a + (R,) + (c,) * (h - a), count
+            yield _canonical(((c, a), (R, 1), (c, h - a))), count
     no_hub = perm(c, h + 1) // 2
     if no_hub:
-        yield (c,) * (h + 1), no_hub
+        yield ((c, h + 1),), no_hub
 
     # Bridges: a clique vertices on one side of the hub, and a tree side that
     # ends strictly inside a branch longer than h-a or at the leaf of a
@@ -319,35 +327,82 @@ def _terms(
         ordered = perm(c, a)
         count = ordered * (m - S[h - a])
         if count:
-            yield (c,) * a + (R,) + (2,) * (h - a), count
+            yield _canonical(((c, a), (R, 1), (2, h - a))), count
         count = ordered * L.get(h - a, 0)
         if count:
-            yield (c,) * a + (R,) + (2,) * (h - a - 1) + (1,), count
+            yield _canonical(((c, a), (R, 1), (2, h - a - 1), (1, 1))), count
 
 
-def merge_terms(order: int, point: tuple[int, int, int, Mapping[int, int]]) -> Census:
-    """Census of one order at a point (n1, n2, m, L): its class terms from
-    _terms, canonicalized and merged.
+def _canonical(runs: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """The class of a shape's runs: its empty runs dropped, and the lesser
+    of the tuple and its reverse. The hub degree exceeds 2 and the clique
+    degree, so no two runs of a shape that meet share a degree, and two
+    shapes share a class just when their degree sequences are equal up to
+    reversal."""
+    key = tuple([run for run in runs if run[1]])
+    rev = key[::-1]
+    return key if key <= rev else rev
+
+
+def merge_terms(order: int, point: tuple) -> dict[tuple[tuple[int, int], ...], int]:
+    """Classes of one order at a point (n1, n2, m, L) or (n1, n2, m, L, S),
+    with their multiplicities: the terms of _terms, merged.
 
     Shapes that share a degree sequence (a 3-clique's outer vertices look
-    like branch-interior vertices) become one class, so an invariant summed
-    over the census makes one f call per class, as enumeration does.
+    like branch-interior vertices) share a class, so an invariant summed
+    over the classes makes one f call per class, as enumeration does.
     """
-    merged: dict[tuple[int, ...], int] = defaultdict(int)
-    for seq, count in _terms(order, *point):
-        merged[canonical_class(seq)] += count
-    return Census(order=order, entries=dict(merged))
+    merged: dict[tuple[tuple[int, int], ...], int] = defaultdict(int)
+    for runs, count in _terms(order, *point):
+        merged[runs] += count
+    return merged
 
 
-def _evaluate(
-    point: tuple[int, int, int, Mapping[int, int]], h: int, f: InvariantFunction
-) -> float:
-    """Order-h invariant at a parameter point (n1, n2, m, L).
+def _degrees(runs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """A class's canonical degree sequence."""
+    return canonical_class([d for d, k in runs for _ in range(k)])
 
-    Reconstruction evaluates points with missing branches, where some
-    multiplicities go negative; no validation on purpose.
+
+def _product_sum(runs: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """A class's degree product and degree sum, read off its runs."""
+    p, s = 1, 0
+    for d, k in runs:
+        p = p << k if d == 2 else p * d**k
+        s += d * k
+    return p, s
+
+
+def _spec_classes(order: int, point: tuple) -> dict[tuple[tuple[int, int], ...], int]:
+    """merge_terms at a spec's point; a negative multiplicity means the
+    closed forms are inconsistent."""
+    classes = merge_terms(order, point)
+    if min(classes.values(), default=0) < 0:
+        raise AssertionError(f"negative multiplicity in the order-{order} census")
+    return classes
+
+
+def _census(order: int, point: tuple) -> Census:
+    """A spec's census at a point of _point."""
+    classes = _spec_classes(order, point)
+    return Census(order=order, entries={_degrees(r): count for r, count in classes.items()})
+
+
+def _evaluate(point: tuple, h: int, f: InvariantFunction, spec: bool = False) -> float:
+    """Order-h invariant at a point (n1, n2, m, L) or (n1, n2, m, L, S): the
+    fsum of count * f over the classes of merge_terms, f read as a built-in's
+    product-sum form (bit for bit its value on the degree tuple) or else on
+    the tuple. Every closed-form value is computed here. A spec's point
+    (spec True) is checked as its census is; reconstruction evaluates points
+    with missing branches, where some multiplicities go negative.
     """
-    return invariant_from_census(merge_terms(h, point), f)
+    g = f.multiset
+    classes = (_spec_classes if spec else merge_terms)(h, point).items()
+    try:
+        if g is None:
+            return fsum([count * f(_degrees(runs)) for runs, count in classes])
+        return fsum([count * g(*_product_sum(runs)) for runs, count in classes])
+    except ArithmeticError as exc:
+        raise IndexEvaluationError(f"index {f.name!r} at order {h}: {exc}") from exc
 
 
 # Public names of both families; each accepts either spec, and the

@@ -211,10 +211,12 @@ def condition_b_cases(draw):
 @example((builtin("connectivity"), "starlike", 64, 60, 1e-9))
 @example((TUPLE_ONLY["nan-at-3"], "generalized", 300, 60, 0.0))
 @example((builtin("path-count"), "starlike", 4, 0, 0.0))
-# Past the ends of the built-ins' exact rows: connectivity's products pass
-# the largest float at order 1021 or 1022, and hyper-zagreb's squares
-# overflow once x << (t + 1) >= 2**512, so its margins turn NaN there and
-# fail (b) while the least margin stays 15.0 at depth 0.
+# Near and past the ends of the built-ins' exact rows: connectivity's
+# products pass the largest float at order 1021 or 1022 and its rows end
+# where x << (t + 1) reaches 2**1800, and hyper-zagreb's squares overflow
+# once x << (t + 1) >= 2**512, so its margins turn NaN there and fail (b)
+# while the least margin stays 15.0 at depth 0.
+@example((builtin("connectivity"), "starlike", 4, 1800, 1e-9))
 @example((builtin("connectivity"), "starlike", 4, 1023, 1e-9))
 @example((builtin("connectivity"), "generalized", 5, 1025, 0.0))
 @example((builtin("connectivity"), "starlike", 8, 1021, 0.3))
@@ -281,12 +283,15 @@ def _scan_rows(f, roots, t_max):
 @pytest.mark.parametrize("name", BUILT_INS)
 @pytest.mark.parametrize("x_max", [4, 7, 8, 63, 64, 65])
 def test_built_in_rows_scale_or_shift_exactly_up_to_the_first_error(name, x_max):
-    # Depth 1030 is past the end of every exact range; a row shorter than
-    # mu_row's is a prefix, which holds the least margin.
+    # Depth 1030, and 1850 for connectivity, whose products pass the float
+    # range near depth 1020 and whose exact rows end before 1800, is past the
+    # end of every exact range; a row shorter than mu_row's is a prefix,
+    # which holds the least margin.
     f, roots = builtin(name), list(range(3, x_max + 1))
-    want, got = _scan_rows(f, roots, 1030), []
+    depth = 1850 if name == "connectivity" else 1030
+    want, got = _scan_rows(f, roots, depth), []
     try:
-        for (row, low, finite, k), scanned in zip(_rows_b(f, roots, 1030), want):
+        for (row, low, finite, k), scanned in zip(_rows_b(f, roots, depth), want):
             got.append(([ldexp(m, k) for m in row] + scanned[0][len(row) :], ldexp(low, k), finite))
     except IndexEvaluationError as exc:
         got.append(str(exc))
@@ -354,3 +359,21 @@ def test_sum_connectivity_rows_hold_where_its_differences_are_out_of_order(monke
     witness, low = oracle_condition_b(f, 40, 200, 4.65e-7)
     assert got == want and (got.counterexample_b, got.min_margin_b) == (witness, low)
     assert witness == (151, 3)
+
+
+@pytest.mark.parametrize("family, witness", [("starlike", (3, 4)), ("generalized", (2, 3))])
+def test_tied_condition_a_stops_at_its_first_pair(monkeypatch, family, witness):
+    # path-count's divided differences all equal its base, so every margin
+    # is 0.0; a scan of every pair read about 130,000 at x_max 512
+    pairs = []
+    real = reconstruct.combinations
+
+    def counted(items, r):
+        for pair in real(items, r):
+            pairs.append(pair)
+            yield pair
+
+    monkeypatch.setattr(reconstruct, "combinations", counted)
+    report = CHECKS[family](builtin("path-count"), 512, 0)
+    assert (report.counterexample_a, report.min_margin_a) == (witness, 0.0)
+    assert len(pairs) == 1
