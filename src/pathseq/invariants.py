@@ -30,8 +30,9 @@ def _check_tol(tol: float) -> None:
 
 
 def _first_difference(a: list[float], b: list[float], tol: float) -> int | None:
-    """First order at which two profiles are not _close, else None."""
-    return next((h for h, (x, y) in enumerate(zip(a, b)) if not _close(x, y, tol)), None)
+    """First order at which two profiles are not _close, else None, for tol
+    >= 0: x - y is 0.0 just when x and y are equal and finite, so _close."""
+    return next((h for h, (x, y) in enumerate(zip(a, b)) if x - y and not _close(x, y, tol)), None)
 
 
 class InvariantFunction(NamedTuple):

@@ -39,10 +39,6 @@ from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coeff
 
 # how far a recovered branch count may sit from an integer
 BRANCH_RESIDUAL_TOL = 1e-6
-# The survey sorts specs by their value at this order. On starlike n=21
-# (616 specs) with connectivity, orders 0/1/2/3/4/6 leave 18,924/4,234/
-# 1,325/502/245/417 of 189,420 pairs within tolerance: order 4 leaves fewest.
-SWEEP_ORDER = 4
 
 
 def _order0_points(n: int, r: int | None = None) -> dict[int, tuple[int, int, int]]:
@@ -417,21 +413,21 @@ def reconstruct_generalized(
 
 
 class _LazyRows:
-    """Invariant values of a list of specs, evaluated as comparisons reach them.
+    """Invariant values of a list of specs, evaluated order by order.
 
     The order-h value of a spec depends only on its clique size, tree size,
     root degree and counts of branches of length <= h (the paper's first
     result: _terms reads no longer branch), so it is computed once per such
-    prefix, in closed form for the first spec that reaches it, and is
-    bit-identical for every spec that shares the prefix. Past a spec's
-    longest path the value is 0.0; there the prefix is the whole spec. Each
-    spec keeps its own row of values, extended only as far as it is read.
-    Lives for one call.
+    prefix, in closed form at the point of the first spec that reaches it,
+    and is bit-identical for every spec that shares the prefix. Past a
+    spec's longest path the value is 0.0; there the prefix is the whole
+    spec. Each spec keeps its row of the values read so far. Lives for one
+    call.
     """
 
     def __init__(self, specs: list[StarlikeSpec], f: InvariantFunction) -> None:
-        self.specs = specs
         self.f = f
+        self.points = [_point(s, s.longest_path_length) for s in specs]
         self.rows: list[list[float]] = [[] for _ in specs]
         # each row's prefix id at its last order
         self.prefix = [-1] * len(specs)
@@ -440,33 +436,49 @@ class _LazyRows:
         self.values: list[float] = []
 
     def value(self, i: int, h: int) -> float:
-        """Spec i's order-h value, extending its row through h."""
-        row = self.rows[i]
-        spec = self.specs[i]
-        while len(row) <= h:
-            order = len(row)
-            key = (self.prefix[i], spec.count(order)) if order else _point(spec)[:3]
-            node = self.ids.get(key)
-            if node is None:
-                node = self.ids[key] = len(self.values)
-                self.values.append(spec.value(order, self.f))
-            self.prefix[i] = node
-            row.append(self.values[node])
-        return row[h]
+        """Spec i's order-h value; its row must hold orders 0..h - 1."""
+        point = self.points[i]
+        key = (self.prefix[i], point[3].get(h, 0)) if h else point[:3]
+        node = self.ids.setdefault(key, len(self.values))
+        if node == len(self.values):
+            self.values.append(_evaluate(point, h, self.f, True) if h < len(point[4]) else 0.0)
+        self.prefix[i] = node
+        self.rows[i].append(self.values[node])
+        return self.values[node]
 
-    def first_difference(self, i: int, j: int, h_max: int, tol: float) -> int | None:
-        """First order <= h_max at which specs i and j are not _close, else None.
 
-        x - y is 0.0 exactly when x and y are equal and finite, and such
-        values are _close at every tol >= 0, which the callers check.
-        """
-        a, b = self.rows[i], self.rows[j]
-        for h in range(h_max + 1):
-            x = a[h] if h < len(a) else self.value(i, h)
-            y = b[h] if h < len(b) else self.value(j, h)
-            if x - y and not _close(x, y, tol):
-                return h
-        return None
+def _refine(rows, count: int, h_max: int, tol: float) -> tuple[int | None, list[list[int]]]:
+    """Split items 0..count - 1 into groups order by order, h = 0..h_max, so
+    that items _close at every order so far share a group. rows.value(i, h)
+    is item i's order-h value, read once for each order it is grouped at.
+
+    Each group is sorted by value and cut between neighbours not _close.
+    For x <= y <= z of any signs and 0 <= tol < 1, z - x - tol * max(1, |x|,
+    |z|) strictly increases in z and decreases in x: if x and z are _close,
+    so are x and y, and y and z, so no cut parts a _close pair. At tol > 0
+    an infinity is _close to every value but itself, so a group holding one
+    and another value stays whole. NaN values, _close to nothing, and
+    singletons are dropped. Returns the order at which no group is left,
+    else None and the groups left.
+    """
+    groups: list = [range(count)]
+    for h in range(h_max + 1):
+        split = []
+        for group in groups:
+            keyed = sorted((x, i) for i in group if (x := rows.value(i, h)) == x)
+            xs = [x for x, _ in keyed]
+            if tol and xs and xs[0] != xs[-1] and inf in (-xs[0], xs[-1]):
+                cuts = []
+            else:
+                cuts = [k for k in range(1, len(xs)) if xs[k] - xs[k - 1]
+                        and not _close(xs[k - 1], xs[k], tol)]
+            for lo, hi in zip([0, *cuts], [*cuts, len(xs)]):
+                if hi - lo > 1:
+                    split.append([i for _, i in keyed[lo:hi]])
+        if not split:
+            return h, []
+        groups = split
+    return None, groups
 
 
 def distinguish(
@@ -479,7 +491,8 @@ def distinguish(
 
     Orders beyond both longest paths carry no information (both invariants
     are identically zero there), so the scan stops at the larger of the two.
-    Orders are evaluated one at a time, and none past the separating order.
+    Orders are evaluated one at a time, and none past the separating order:
+    the two-spec case of the survey's refinement.
     ValueError unless 0 <= tol < 1.
     """
     _check_tol(tol)
@@ -496,7 +509,7 @@ def distinguish(
             f"maximum degrees differ: {a.max_degree} vs {b.max_degree}"
         )
     h_max = max(a.longest_path_length, b.longest_path_length)
-    return _LazyRows([a, b], f).first_difference(0, 1, h_max, tol)
+    return _refine(_LazyRows([a, b], f), 2, h_max, tol)[0]
 
 
 def _branch_sets(total: int, parts: int, least: int = 1) -> Iterator[tuple]:
@@ -647,10 +660,10 @@ def _proven(points: list[tuple[int, int, int]], f: InvariantFunction, tol: float
     no collision.
 
     Built-ins with a product-sum form only. False when a check fails or f
-    raises: the sweep then runs as it would have. The sweep evaluates every
-    spec through SWEEP_ORDER, and a pair up to where it separates; each of
-    those orders has finite _cell_bounds, so none of its evaluations raises
-    when this returns True.
+    raises: the sweep then runs as it would have. Had the sweep run, each
+    of its groups at order h would share a point and its counts below h, so
+    it would read orders up to a point's last cell there, each with finite
+    _cell_bounds: none of its evaluations raises when this returns True.
     """
     if f.multiset is None:
         return False
@@ -660,13 +673,8 @@ def _proven(points: list[tuple[int, int, int]], f: InvariantFunction, tol: float
             return False
         for point in points:
             _, n2, m = point
-            cells = (n2 - 1 - m) // 2
-            for h in range(1, max(cells, SWEEP_ORDER) + 1):
-                if h <= cells:
-                    ok = _cell_separates(f, point, h, tol)
-                else:
-                    ok = _cell_bounds(f, point, h)[1] < float("inf")
-                if not ok:
+            for h in range(1, (n2 - 1 - m) // 2 + 1):
+                if not _cell_separates(f, point, h, tol):
                     return False
     except (ArithmeticError, IndexEvaluationError):
         return False
@@ -713,8 +721,9 @@ def survey_distinguishability(
 
     First _proven tries to show, without listing a spec, that no pair
     collides; the spec count is then a sum of partition counts. Otherwise
-    _sweep lists the specs and compares them. Both ways give the same report,
-    or raise the same error.
+    _sweep lists the specs and refines them into groups order by order, as
+    distinguish does for two. Both ways give the same report, or raise the
+    same error.
     """
     _check_tol(tol)
     starlike = family == "starlike"
@@ -743,26 +752,13 @@ def survey_distinguishability(
 
 
 def _sweep(specs: list[StarlikeSpec], f: InvariantFunction, tol: float) -> list[tuple]:
-    """Every pair of specs whose profiles collide, in all-pairs order.
-
-    Specs are sorted by their value at SWEEP_ORDER, and only pairs _close
-    there are compared further, order by order up to their first
-    difference. For x <= y and 0 <= tol < 1, y - x - tol * max(1, |x|, |y|)
-    strictly increases in y, so the walk forward from each spec can stop at
-    the first value not _close.
-    """
+    """Every pair of specs whose profiles collide, in all-pairs order: the
+    pairs inside the groups that _refine leaves, checked whole, since _close
+    is not transitive."""
     h_max = max((s.longest_path_length for s in specs), default=0)
-    rows = _LazyRows(specs, f)
-    k = min(SWEEP_ORDER, h_max)
-    swept = [rows.value(i, k) for i in range(len(specs))]
-    # a NaN is _close to nothing, so its spec cannot collide
-    keyed = sorted((x, i) for i, x in enumerate(swept) if x == x)
-    pairs = []
-    for a, (x, i) in enumerate(keyed):
-        b = a + 1
-        while b < len(keyed) and _close(x, keyed[b][0], tol):
-            j = keyed[b][1]
-            if rows.first_difference(i, j, h_max, tol) is None:
-                pairs.append((min(i, j), max(i, j)))
-            b += 1
-    return [(specs[i], specs[j]) for i, j in sorted(pairs)]
+    lazy = _LazyRows(specs, f)
+    _, groups = _refine(lazy, len(specs), h_max, tol)
+    rows = lazy.rows
+    pairs = sorted((i, j) for group in groups for i, j in combinations(sorted(group), 2)
+                   if _first_difference(rows[i], rows[j], tol) is None)
+    return [(specs[i], specs[j]) for i, j in pairs]

@@ -1,7 +1,8 @@
 """The survey finds exactly the collisions of an all-pairs scan, whether its
-proof decides the slice or its sorted sweep does, and distinguish the first
-difference of two whole profiles, while neither builds a census no
-comparison reads. The proof's bounds hold against exact values."""
+proof decides the slice or its order-by-order refinement does, and
+distinguish, the refinement of two specs, the first difference of two whole
+profiles, while neither builds a census no comparison reads. The proof's
+bounds hold against exact values."""
 
 import decimal
 import math
@@ -39,6 +40,7 @@ from pathseq.reconstruct import (
     _partition_counts,
     _path_bound,
     _proven,
+    _refine,
 )
 from pathseq.starlike import _point
 
@@ -103,6 +105,15 @@ def test_specs_with_nan_values_collide_with_nothing():
         report = survey_distinguishability(12, f, tol=tol)
         assert report.collisions == all_pairs(starlike_specs(12), f, tol)
         assert all(s.root_degree < 5 for pair in report.collisions for s in pair)
+
+
+def test_specs_with_infinite_values_collide_as_all_pairs_find():
+    # -inf at order 4, which at tol > 0 is _close to every value but -inf;
+    # a walk forward from each spec in order-4 order stopped at the next -inf
+    f = InvariantFunction("neg-inf-4", lambda d: -math.inf if len(d) == 5 else 1.0)
+    for n in (6, 10):
+        report = survey_distinguishability(n, f, tol=0.3)
+        assert report.collisions and report.collisions == all_pairs(starlike_specs(n), f, 0.3)
 
 
 @pytest.mark.parametrize("tol", [-1e-9, 1.0, 2.5, math.nan, math.inf])
@@ -240,8 +251,11 @@ def outcome(call):
         return type(exc), str(exc)
 
 
-# power:100 overflows past the orders the sweep reads on starlike n = 21, so
-# the proof gives up and the sweep succeeds; power:120 overflows inside them
+# The proof checks only the orders the sweep would read, so where it holds
+# the sweep succeeds too: power:150 on starlike n = 12 is proven. On starlike
+# n = 21, power:100 has a cell whose bound passes 2^1000, so the proof gives
+# up, while every value the sweep reads is finite; at power:120 a value
+# inside the cells overflows, and both raise
 @pytest.mark.parametrize("alpha", [60, 100, 120, 150, 300, -150])
 def test_an_overflowing_index_raises_just_where_the_sweep_does(monkeypatch, alpha):
     f = builtin("power", alpha)
@@ -252,6 +266,59 @@ def test_an_overflowing_index_raises_just_where_the_sweep_does(monkeypatch, alph
         assert got == outcome(lambda: swept(monkeypatch, n, f, family, r, 1e-9)), (family, n, r)
         outcomes.add(type(got))
     assert alpha > 0 or outcomes == {pathseq.reconstruct.SurveyReport}
+
+
+def test_a_path_count_survey_compares_each_grouped_spec_with_one_neighbour(monkeypatch):
+    # 49,792 calls when every pair _close at order 4 was walked
+    calls = []
+    real_close = pathseq.reconstruct._close
+
+    def counted(x, y, tol):
+        calls.append(1)
+        return real_close(x, y, tol)
+
+    monkeypatch.setattr(pathseq.reconstruct, "_close", counted)
+    report = survey_distinguishability(24, builtin("path-count"))
+    h_max = max(s.longest_path_length for s in starlike_specs(24))
+    assert (report.spec_count, h_max, report.collisions) == (1243, 22, [])
+    assert len(calls) <= report.spec_count * (h_max + 1)
+
+
+class Rows:
+    """Fixed value rows, read as _refine reads the survey's: spec i at
+    order h only once it was read at every order below h."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.read = [0] * len(rows)
+
+    def value(self, i, h):
+        assert self.read[i] == h
+        self.read[i] += 1
+        return self.rows[i][h]
+
+
+# mixed signs, exact ties, values _close at 0.3 but not at 1e-9, infinities and NaN
+VALUES = st.sampled_from(
+    [0.0, -0.0, 0.25, -0.25, 1.0, -1.0, 1.2, 1.5, -1.5, 3.0, 1e300, -1e300,
+     math.inf, -math.inf, math.nan]
+) | st.floats(-4, 4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5), st.sampled_from([0.0, 1e-9, 0.3]), st.data())
+def test_refined_groups_hold_every_pair_of_an_all_pairs_scan(orders, tol, data):
+    rows = data.draw(st.lists(st.lists(VALUES, min_size=orders, max_size=orders), max_size=9))
+    empty, groups = _refine(Rows(rows), len(rows), orders - 1, tol)
+    found = {(i, j) for group in groups for i, j in combinations(sorted(group), 2)
+             if _first_difference(rows[i], rows[j], tol) is None}
+    every = {(i, j) for i, j in combinations(range(len(rows)), 2)
+             if all(close(x, y, tol) for x, y in zip(rows[i], rows[j]))}
+    assert found == every
+    assert (empty is None) == bool(groups)
+    if len(rows) >= 2:
+        # two specs' group empties at their first difference
+        assert _refine(Rows(rows[:2]), 2, orders - 1, tol)[0] == _first_difference(*rows[:2], tol)
 
 
 def family_point(spec):
