@@ -33,7 +33,6 @@ from .invariants import (
     _check_tol,
     _close,
     _first_difference,
-    invariant_profile,
 )
 from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient, mu_row
 
@@ -275,26 +274,53 @@ class ReconstructionResult(NamedTuple):
         }
 
 
-def _run_ladder(
-    profile: list[float],
-    f: InvariantFunction,
-    point: tuple[int, int, int],
-) -> dict[int, int]:
-    """Recover branch counts order by order until the length budget is spent.
+def _reconstruct(
+    n: int, r: int | None, profile: list[float], f: InvariantFunction, tol: float
+) -> ReconstructionResult:
+    """Rebuild the spec of the slice (n, r), r None for a starlike one, from
+    its profile: order 0 picks the one point (n1, n2, m) whose value
+    matches, and each order h >= 1 one count, the gap between the profile
+    and the closed form with the counts found so far and the length-h count
+    at zero, over the slope in that count, until the lengths fill n2 - 1.
 
-    point is the candidate (n1, n2, m). At order h the closed form is
-    evaluated with the counts found so far and the order-h count set to
-    zero; the gap to the profile, over the slope in that count, is the
-    count. S[k], the branches found of length <= k, grows with h.
+    The order-h value reads only n1, n2, m and the counts of lengths <= h
+    (the paper's first result), so where the count found is zero the
+    ladder's value is the rebuilt spec's own, bit for bit. The replay
+    evaluates again, at the spec's point, only orders with a nonzero count
+    and orders past the longest branch.
+
+    At a ladder point every multiplicity counts paths but the interior one,
+    n2 - 1 - used_len - (h + 1)(m - used_cnt), negative when the m -
+    used_cnt branches left cannot all be longer than h. Where they can, the
+    point is evaluated with the spec's self-test. At a zero-count order a
+    returned spec's branches left are all longer than h, so every value its
+    replay reads passed the test; every order-0 point has n2 - 1 >= m.
     """
-    n1, n2, m = point
-    budget_len = n2 - 1
-    counts: dict[int, int] = {}
-    S = [0]
-    used_len = 0
-    used_cnt = 0
-    h = 1
+    _check_tol(tol)
+    points = _order0_points(n, r)
+    family, noun = ("starlike", "root degree") if r is None else ("clique-coalesced", "clique size")
+    if not points:
+        hub = "" if r is None else f" and hub degree {r}"
+        raise NoCandidateRootError(f"no {family} tree has {n} vertices{hub}")
+    if not profile:
+        raise BudgetMismatchError("profile is empty")
+    zero = {key: _evaluate((*point, {}), 0, f, True) for key, point in points.items()}
+    matches = [key for key, value in zero.items() if _close(profile[0], value, tol)]
+    if not matches:
+        raise NoCandidateRootError(
+            f"no {noun} in {min(points)}..{max(points)} matches "
+            f"the order-0 value {profile[0]!r}"
+        )
+    if len(matches) > 1:
+        raise AmbiguousRootError(
+            f"{noun}s {matches} all match the order-0 value; "
+            "tighten the tolerance or use a steeper index"
+        )
+    n1, n2, m = points[matches[0]]
+    budget_len, used_len, used_cnt = n2 - 1, 0, 0
+    values, counts, S = [zero[matches[0]]], {}, [0]
     while used_len < budget_len:
+        h = len(values)
         if h >= len(profile):
             raise BudgetMismatchError(
                 f"profile ends at order {len(profile) - 1} with "
@@ -306,9 +332,11 @@ def _run_ladder(
                 f"zero slope at order {h}; this index cannot resolve branch counts"
             )
         S.append(S[-1])
-        raw = (profile[h] - _evaluate((n1, n2, m, counts, S), h, f)) / slope
-        k = round(raw)
-        if abs(raw - k) > BRANCH_RESIDUAL_TOL:
+        as_spec = budget_len - used_len >= (h + 1) * (m - used_cnt)
+        values.append(_evaluate((n1, n2, m, counts, S), h, f, as_spec))
+        raw = (profile[h] - values[h]) / slope
+        # a NaN or infinite count is as far from every integer
+        if not abs(raw) < inf or abs(raw - (k := round(raw))) > BRANCH_RESIDUAL_TOL:
             raise NonIntegerBranchCountError(
                 f"count of length-{h} branches came out {raw!r}, "
                 f"not within {BRANCH_RESIDUAL_TOL} of an integer"
@@ -327,48 +355,17 @@ def _run_ladder(
                 )
             counts[h] = k
             S[h] += k
-        h += 1
     if used_cnt != m:
         raise BudgetMismatchError(
             f"recovered {used_cnt} branches but the root degree demands {m}"
         )
-    return counts
+    star = StarlikeSpec.from_counts(counts)
+    spec = star if n1 == 1 else GenStarlikeSpec(n1, star)
 
-
-def _reconstruct(
-    n: int, r: int | None, profile: list[float], f: InvariantFunction, tol: float
-) -> ReconstructionResult:
-    """Pick the one order-0 point of the slice (n, r), r None for a starlike
-    one, whose value matches, run the ladder on its branches and replay the
-    rebuilt spec."""
-    _check_tol(tol)
-    points = _order0_points(n, r)
-    family, noun = ("starlike", "root degree") if r is None else ("clique-coalesced", "clique size")
-    if not points:
-        hub = "" if r is None else f" and hub degree {r}"
-        raise NoCandidateRootError(f"no {family} tree has {n} vertices{hub}")
-    if not profile:
-        raise BudgetMismatchError("profile is empty")
-    matches = [
-        key
-        for key, point in points.items()
-        if _close(profile[0], _evaluate((*point, {}), 0, f), tol)
-    ]
-    if not matches:
-        raise NoCandidateRootError(
-            f"no {noun} in {min(points)}..{max(points)} matches "
-            f"the order-0 value {profile[0]!r}"
-        )
-    if len(matches) > 1:
-        raise AmbiguousRootError(
-            f"{noun}s {matches} all match the order-0 value; "
-            "tighten the tolerance or use a steeper index"
-        )
-    point = points[matches[0]]
-    star = StarlikeSpec.from_counts(_run_ladder(profile, f, point))
-    spec = star if point[0] == 1 else GenStarlikeSpec(point[0], star)
-
-    check = invariant_profile(spec, f, len(profile) - 1)
+    top = min(spec.longest_path_length, len(profile) - 1)
+    point = _point(spec, top)
+    check = [_evaluate(point, h, f, True) if h in counts or h >= len(values) else values[h]
+             for h in range(top + 1)] + [0.0] * (len(profile) - 1 - top)
     h = _first_difference(profile, check, tol)
     if h is not None:
         raise ProfileMismatchError(

@@ -3,7 +3,10 @@ import time
 from collections import Counter, defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pathseq.starlike
 from oracle import close
 from pathseq import (
     AmbiguousRootError,
@@ -215,6 +218,74 @@ def test_branch_total_must_equal_the_root_degree():
     profile = [_evaluate(point, h, CONN) for h in range(6)]
     with pytest.raises(BudgetMismatchError, match="root degree demands 3"):
         reconstruct_starlike(6, profile, CONN)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e308])
+def test_a_non_finite_count_stops_the_ladder(value):
+    # the count at order 2 comes out NaN or infinite, which no integer is near
+    spec = StarlikeSpec.from_counts({1: 1, 2: 1, 3: 2})
+    profile = starlike_profile(spec, CONN, spec.longest_path_length)
+    profile[2] = value
+    with pytest.raises(NonIntegerBranchCountError, match="count of length-2 branches came out"):
+        reconstruct_starlike(spec.vertex_count, profile, CONN)
+
+
+def test_the_replay_evaluates_only_nonzero_counts_and_orders_past_the_ladder(monkeypatch):
+    # rho = 50 and three branch lengths: the ladder builds orders 1..25 and
+    # the replay orders 1, 20, 25 and 26..50, where a whole replay built 1..50
+    spec = StarlikeSpec.from_counts({1: 1, 20: 2, 25: 3})
+    profile = starlike_profile(spec, CONN, spec.longest_path_length)
+    orders = []
+    real_merge = pathseq.starlike.merge_terms
+
+    def counted(order, point):
+        orders.append(order)
+        return real_merge(order, point)
+
+    monkeypatch.setattr(pathseq.starlike, "merge_terms", counted)
+    assert reconstruct_starlike(spec.vertex_count, profile, CONN).spec == spec
+    assert len([h for h in orders if h]) <= spec.longest_path_length + len(spec.branches) == 53
+
+
+# no product-sum form, as for a registered index: values read degree tuples
+TUPLE_CONNECTIVITY = InvariantFunction("tuple-connectivity", CONN.fn)
+
+
+@st.composite
+def replay_cases(draw):
+    """A spec of either family, an index, and its profile padded past rho,
+    maybe with one order past the longest branch, which the ladder does not
+    read, moved."""
+    lengths = draw(st.lists(st.integers(1, 10), min_size=3, max_size=6))
+    star = StarlikeSpec.from_counts(Counter(lengths))
+    n1 = draw(st.sampled_from([1, 3, 4, 5]))
+    spec = star if n1 == 1 else GenStarlikeSpec(n1, star)
+    f = draw(st.sampled_from([CONN, builtin("sum-connectivity"), builtin("hyper-zagreb"),
+                              resolve_index("power:-1.0"), TUPLE_CONNECTIVITY]))
+    profile = starlike_profile(spec, f, spec.longest_path_length + draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        h = draw(st.integers(spec.max_branch_length + 1, len(profile) - 1))
+        scale = max(1.0, abs(profile[h]))
+        profile[h] += draw(st.sampled_from([1e-12, -1e-12, 1e-6, 1.0, -0.5])) * scale
+    return spec, f, profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(replay_cases())
+def test_the_replay_reads_the_specs_own_values(case):
+    spec, f, profile = case
+    own = starlike_profile(spec, f, len(profile) - 1)
+    try:
+        if spec.clique_size == 1:
+            result = reconstruct_starlike(spec.vertex_count, profile, f)
+        else:
+            result = reconstruct_generalized(spec.vertex_count, spec.max_degree, profile, f)
+    except ProfileMismatchError as exc:
+        h = next(h for h, (x, y) in enumerate(zip(profile, own)) if not close(x, y, 1e-9))
+        assert str(exc).endswith(f"at order {h}: {own[h]!r} vs {profile[h]!r}")
+    else:
+        assert result.spec == spec
+        assert [r.hex() for r in result.residuals] == [abs(x - y).hex() for x, y in zip(profile, own)]
 
 
 def test_reconstruction_errors_share_a_base(spider):

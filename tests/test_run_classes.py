@@ -185,9 +185,23 @@ def test_connectivity_profile_at_rho_1600_agrees_with_decimal():
 def test_spec_values_refuse_a_negative_multiplicity_as_censuses_do(monkeypatch):
     # a spec's classes all count paths; a ladder point's may count negative
     real = merge_terms
-    monkeypatch.setattr(pathseq.starlike, "merge_terms", lambda h, p: {**real(h, p), ((9, 1),): -1})
     spec, f = StarlikeSpec.from_counts({1: 1, 3: 2}), builtin("connectivity")
-    for call in (lambda: spec.value(2, f), lambda: starlike_profile(spec, f, 3), lambda: spec.census(2)):
+    profile = starlike_profile(spec, f, 4)
+    monkeypatch.setattr(pathseq.starlike, "merge_terms", lambda h, p: {**real(h, p), ((9, 1),): -1})
+    for call in (lambda: spec.value(2, f), lambda: starlike_profile(spec, f, 3), lambda: spec.census(2),
+                 lambda: reconstruct_starlike(spec.vertex_count, profile, f)):
         with pytest.raises(AssertionError, match="negative multiplicity"):
             call()
     assert math.isfinite(_evaluate((1, 8, 3, {1: 1}), 2, f))
+
+
+def test_the_ladder_self_tests_the_values_that_the_replay_reuses(monkeypatch):
+    # order 0 passes; the order-1 ladder point, whose three branches left
+    # may all be longer than 1, is checked as the rebuilt spec's would be
+    real = merge_terms
+    spec, f = StarlikeSpec.from_counts({1: 1, 3: 2}), builtin("connectivity")
+    profile = starlike_profile(spec, f, 4)
+    bad = {((9, 1),): -1}
+    monkeypatch.setattr(pathseq.starlike, "merge_terms", lambda h, p: {**real(h, p), **(bad if h else {})})
+    with pytest.raises(AssertionError, match="order-1 census"):
+        reconstruct_starlike(spec.vertex_count, profile, f)
