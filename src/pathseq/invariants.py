@@ -89,6 +89,13 @@ def _path_count(d: tuple[int, ...]) -> float:
     return 1.0
 
 
+def _power_form(alpha: float) -> Callable[[int, int], float]:
+    """power:alpha over a degree product p and sum s. Every power built-in's
+    form is made here, so all share one code object, by which
+    reconstruct._rows_b tells them from a lookalike form."""
+    return lambda p, s: p**alpha
+
+
 # Each built-in over a degree tuple, and over its (product, sum). The tuple
 # forms compute no sum they do not read.
 _SIMPLE_BUILTINS = {
@@ -121,7 +128,7 @@ def builtin(name: str, param: float | None = None) -> InvariantFunction:
         def _power(d: tuple[int, ...], _a: float = alpha) -> float:
             return math.prod(d) ** _a
 
-        return InvariantFunction(f"power:{alpha}", _power, lambda p, s: p**alpha)
+        return InvariantFunction(f"power:{alpha}", _power, _power_form(alpha))
     raise UnknownIndexError(f"unknown index {name!r}")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations, pairwise, repeat
 from math import inf, ldexp, perm
-from operator import ge
+from operator import ge, sub
 from typing import Iterator, NamedTuple
 
 from .errors import (
@@ -33,6 +33,7 @@ from .invariants import (
     _check_tol,
     _close,
     _first_difference,
+    _power_form,
 )
 from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient, mu_row
 
@@ -158,8 +159,8 @@ def _check_conditions(
     2, at every depth t <= t_max. Its margin is |mu_coefficient(f, t + 1,
     x)|, from _rows_b; a NaN margin fails and is no minimum."""
     _check_tol(tol)
-    if x_max < 4 or t_max < 0:
-        raise ValueError(f"need x_max >= 4 and t_max >= 0; got {x_max}, {t_max}")
+    if not (isinstance(x_max, int) and isinstance(t_max, int) and x_max >= 4 and t_max >= 0):
+        raise ValueError(f"need x_max >= 4 and t_max >= 0; got {x_max!r}, {t_max!r}")
     if family == "starlike":
         g = {m: f((m,)) for m in _order0_points(x_max + 1)}
         witness_a, min_a = _condition_a(g, f((2,)) - f((1,)), tol)
@@ -179,12 +180,14 @@ def _check_conditions(
 
 
 _SCALED = {"connectivity": (2, -1, 1800), "hyper-zagreb": (1, 2, 511), "path-count": (1, 0, inf)}
+_POWER_CODE = _power_form(0.0).__code__
 
 
 def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tuple]:
     """(row, low, finite, k) for each depth t <= t_max: |mu_row(f, t + 1, roots)|,
     or a prefix holding its least and first failure, is row times 2**k, bit for
-    bit; low is row's least non-NaN value, finite False if one is NaN.
+    bit; low is row's least non-NaN value, finite False if one is NaN. roots
+    are the degrees 3..x_max.
 
     Sum-connectivity reads degree sums s only: its rows are the same float
     subtractions from D[s] = psi(s) - psi(s + 1), tabled for x_max - 2 depths
@@ -198,8 +201,11 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     a scan can reach), so it scales alike. So every value scales by 2**e each
     j depths, exactly, while x_max << (t + 1) < 2**bits: then 1 / sqrt(p) >
     2**-900 and p * p < 2**1022, so each value is finite, and 0 or above
-    2**-968. Beyond, and for other f (power's pow is not correctly rounded),
-    rows come from mu_row."""
+    2**-968. Beyond, and for power at every depth (its pow is not correctly
+    rounded), g reads the product alone: each depth keeps g(x << t) for x =
+    2..x_max, so the next evaluates g only at x > x_max // 2, and its rows
+    are mu_row's floats in its order. From the first depth at which g
+    raises, and for other f, rows come from mu_row, which raises as before."""
     g = f.multiset
     own = next((name for name, (_, form) in _SIMPLE_BUILTINS.items() if form is g), None)
     if own == "sum-connectivity":
@@ -217,7 +223,22 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     base = [_margins(mu_row(f, t + 1, roots)) for t in range(min(j, last + 1))]
     for t in range(last + 1):
         yield *base[t % j], e * (t // j)
-    for t in range(max(last + 1, 0), t_max + 1):
+    t = max(last + 1, 0)
+    if t <= t_max and (own or getattr(g, "__code__", None) is _POWER_CODE):
+        # a[x - 2] = g(x << t) for x = 2..x_max; at depth t + 1, a[x - 2] is
+        # this depth's a[2x - 2] for 2x <= x_max, so only the larger x are new
+        x_max = roots[-1]
+        try:
+            a = list(map(g, [x << t for x in range(2, x_max + 1)], repeat(0)))
+            for t in range(t, t_max + 1):
+                new = [x << t + 1 for x in range(x_max // 2 + 1, x_max + 1)]
+                b = a[2::2] + list(map(g, new, repeat(0)))
+                yield *_margins(list(map(sub, map(sub, a[1:], b[1:]), repeat(a[0] - b[0])))), 0
+                a = b
+            return
+        except ArithmeticError:
+            pass  # mu_row raises it at depth t, naming the index and the order
+    for t in range(t, t_max + 1):
         yield *_margins(mu_row(f, t + 1, roots)), 0
 
 

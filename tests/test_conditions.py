@@ -142,6 +142,13 @@ def test_conditions_take_the_cli_ranges(family, kwargs):
         CHECKS[family](builtin("path-count"), **kwargs)
 
 
+@pytest.mark.parametrize("family", sorted(CHECKS))
+@pytest.mark.parametrize("x_max, t_max", [(4.5, 32), (64, 2.5), (8, "3"), (64.0, 32), (None, 32)])
+def test_conditions_refuse_a_range_that_is_not_an_int(family, x_max, t_max):
+    with pytest.raises(ValueError, match=r"^need x_max >= 4 and t_max >= 0; got "):
+        CHECKS[family](builtin("path-count"), x_max, t_max)
+
+
 def test_conditions_state_the_tolerance_range_as_distinguish_does():
     f = builtin("connectivity")
     spec = StarlikeSpec(((1, 3),))
@@ -225,6 +232,11 @@ def condition_b_cases(draw):
 @example((builtin("path-count"), "generalized", 4, 2000, 0.0))
 @example((builtin("sum-connectivity"), "starlike", 4, 2000, 1e-9))
 @example((builtin("sum-connectivity"), "generalized", 7, 2000, 0.0))
+# power's products pass the largest float: 4 << 1022 raises at order 1022,
+# and 8 << 1021 at order 1021, from the rolling array and from mu_row alike
+@example((builtin("power", 0.5), "starlike", 7, 1021, 1e-9))
+@example((builtin("power", -1.0), "generalized", 9, 1020, 0.0))
+@example((builtin("power", -0.5), "starlike", 5, 1019, 0.3))
 def test_condition_b_equals_the_scan_of_every_degree_tuple(case):
     f, family, x_max, t_max, tol = case
 
@@ -280,14 +292,23 @@ def _scan_rows(f, roots, t_max):
     return rows
 
 
-@pytest.mark.parametrize("name", BUILT_INS)
-@pytest.mark.parametrize("x_max", [4, 7, 8, 63, 64, 65])
+POWERS = ("power:0.5", "power:-1", "power:2", "power:3.7", "power:-0.5", "power:1e-12")
+
+
+@pytest.mark.parametrize(
+    "x_max, name",
+    [(x_max, name) for name in BUILT_INS for x_max in (4, 7, 8, 63, 64, 65)]
+    # 511 and 512 split the degrees unevenly and evenly into the halves of
+    # the rolling array
+    + [(x_max, name) for name in POWERS for x_max in (5, 511, 512)],
+)
 def test_built_in_rows_scale_or_shift_exactly_up_to_the_first_error(name, x_max):
     # Depth 1030, and 1850 for connectivity, whose products pass the float
     # range near depth 1020 and whose exact rows end before 1800, is past the
     # end of every exact range; a row shorter than mu_row's is a prefix,
-    # which holds the least margin.
-    f, roots = builtin(name), list(range(3, x_max + 1))
+    # which holds the least margin. Every power raises before depth 1030,
+    # where a product or its power passes the largest float.
+    f, roots = resolve_index(name), list(range(3, x_max + 1))
     depth = 1850 if name == "connectivity" else 1030
     want, got = _scan_rows(f, roots, depth), []
     try:
@@ -310,41 +331,50 @@ def _counted_rows(monkeypatch):
     return depths
 
 
+ROUTES = [("connectivity", 2, 320), ("hyper-zagreb", 1, 320), ("path-count", 1, 320),
+          ("sum-connectivity", 0, 320), ("power:0.5", 0, 320), ("ends", 321, 320),
+          # past its scaled rows, which end at depth 1792, from the rolling array
+          ("connectivity", 2, 1850)]
+
+
 @pytest.mark.parametrize("family", sorted(CHECKS))
 @pytest.mark.parametrize(
-    "name, rows",
-    [("connectivity", 2), ("hyper-zagreb", 1), ("path-count", 1), ("sum-connectivity", 0),
-     ("power:0.5", 321), ("ends", 321)],
+    "name, rows, t_max", ROUTES,
+    ids=[f"{name}-{rows}" + (f"-{t_max}" if t_max != 320 else "") for name, rows, t_max in ROUTES],
 )
-def test_condition_b_reads_one_period_of_rows_for_the_built_ins(monkeypatch, family, name, rows):
+def test_condition_b_reads_one_period_of_rows_for_the_built_ins(monkeypatch, family, name, rows,
+                                                                 t_max):
     f = TUPLE_ONLY.get(name) or resolve_index(name)
     depths = _counted_rows(monkeypatch)
-    CHECKS[family](f, 64, 320)
+    CHECKS[family](f, 64, t_max)
     assert depths == list(range(rows))
 
 
-CONNECTIVITY = builtin("connectivity")
+CONNECTIVITY, POWER = builtin("connectivity"), builtin("power", 0.5)
+# (index, rows read from mu_row, the built-in whose report it gives)
 LOOKALIKES = {
     # what a traced benchmark run builds: the built-in's tuple form only
-    "traced": (InvariantFunction("connectivity", CONNECTIVITY.fn), 41),
+    "traced": (InvariantFunction("connectivity", CONNECTIVITY.fn), 41, CONNECTIVITY),
     # a built-in's name on another product-sum form of the same index
     "named": (InvariantFunction("hyper-zagreb", CONNECTIVITY.fn, lambda p, s: 1.0 / math.sqrt(p)),
-              41),
+              41, CONNECTIVITY),
     # the built-in's own form under another name takes the exact rows
-    "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 2),
+    "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 2, CONNECTIVITY),
+    # power's name and form, but not made by builtin: the rows are not rolled
+    "power": (InvariantFunction("power:0.5", POWER.fn, lambda q, s: q**0.5), 41, POWER),
 }
 
 
 @pytest.mark.parametrize("family", sorted(CHECKS))
 @pytest.mark.parametrize("kind", sorted(LOOKALIKES))
 def test_only_a_built_ins_own_form_takes_its_exact_rows(monkeypatch, family, kind):
-    f, rows = LOOKALIKES[kind]
+    f, rows, own = LOOKALIKES[kind]
     depths = _counted_rows(monkeypatch)
     report = CHECKS[family](f, 30, 40, 1e-12)
     witness, low = oracle_condition_b(f, 30, 40, 1e-12)
     assert depths == list(range(rows))
     assert (report.counterexample_b, report.min_margin_b.hex()) == (witness, low.hex())
-    assert report == CHECKS[family](CONNECTIVITY, 30, 40, 1e-12)
+    assert report == CHECKS[family](own, 30, 40, 1e-12)
 
 
 @pytest.mark.parametrize("family", sorted(CHECKS))
