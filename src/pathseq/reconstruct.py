@@ -35,7 +35,8 @@ from .invariants import (
     _first_difference,
     _power_form,
 )
-from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient, mu_row
+from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _is_int, _point
+from .starlike import mu_coefficient, mu_row
 
 # how far a recovered branch count may sit from an integer
 BRANCH_RESIDUAL_TOL = 1e-6
@@ -47,7 +48,10 @@ def _order0_points(n: int, r: int | None = None) -> dict[int, tuple[int, int, in
     is None) have root degrees 3 <= m < n. Clique-coalesced ones with hub
     degree r have clique sizes n1 >= 3 leaving m = r + 1 - n1 >= 3 branches,
     which need n2 - 1 = n - n1 >= m vertices, so n > r. Reconstruction, spec
-    listing and condition (a) all read this table."""
+    listing, the survey and condition (a) all read this table. ValueError
+    unless n and r (when given) are ints, not bools."""
+    if not (_is_int(n) and (r is None or _is_int(r))):
+        raise ValueError(f"need an int vertex count and hub degree; got {n!r}, {r!r}")
     if r is None:
         return {m: (1, n, m) for m in range(3, n)}
     return {n1: (n1, n - n1 + 1, r + 1 - n1) for n1 in range(3, r - 1)} if n > r else {}
@@ -408,7 +412,7 @@ def reconstruct_starlike(
     The profile must cover orders 0..h_max with h_max at least the longest
     branch length. Raises a ReconstructionError subclass rather than ever
     returning a spec that does not reproduce the input, and ValueError
-    unless 0 <= tol < 1.
+    unless 0 <= tol < 1 and the vertex count is an int.
     """
     return _reconstruct(vertex_count, None, profile, f, tol)
 
@@ -425,7 +429,7 @@ def reconstruct_generalized(
     The family fixes the vertex count and the hub degree r; the order-0
     value then pins the clique size by integer scan, and the ladder runs on
     the tree part with the hub degree in every crossing class. Errors as
-    for reconstruct_starlike.
+    for reconstruct_starlike; the hub degree must be an int too.
     """
     return _reconstruct(vertex_count, max_degree, profile, f, tol)
 
@@ -552,13 +556,14 @@ def _specs(n: int, r: int | None = None) -> list[StarlikeSpec]:
 
 
 def starlike_specs(vertex_count: int) -> list[StarlikeSpec]:
-    """Every starlike spec on the given vertex count, ordered by branches."""
+    """Every starlike spec on the given vertex count, ordered by branches.
+    ValueError unless the vertex count is an int."""
     return sorted(_specs(vertex_count), key=lambda s: s.branches)
 
 
 def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpec]:
     """Every coalesced spec with the given vertex count and hub degree,
-    ordered by clique size and then branches."""
+    ordered by clique size and then branches. ValueError unless both are ints."""
     return _specs(vertex_count, max_degree)
 
 
@@ -677,23 +682,55 @@ def _proven(points: list[tuple[int, int, int]], f: InvariantFunction, tol: float
     Then every pair separates at its first difference, and the sweep finds
     no collision.
 
+    Path-count's slopes are 0, and its order-0 value is n at every point,
+    so it takes lag-2 cells instead. A spec's order-k path count is a sum
+    over N_1..N_(k-1), N_j = m - S[j - 1] the number of branches of length
+    >= j (N_k itself cancels: the paths from the root down add it, those
+    inside a branch take it away): n2 - 1 - (N_1 + ... + N_(k-1)) inside
+    branches, (N_a N_(k-a) - N_max(a, k-a)) / 2 over 0 < a < k through the
+    root, perm(c, a) N_(k-a) over 0 < a < k bridging to the clique, and
+    clique paths that read no count. So orders 0-2 read the point alone
+    (N_1 = m), and _evaluate reads them at (*point, {}), where every N_j is
+    m. Two specs at one point that first differ at length h have equal N_j
+    up to j = h and differ in N_(h+1) by -dc, dc their difference in
+    length-h counts; N_(h+1) enters order h + 2 with the factor m - 2
+    through the root (a = 1 and k - 1) and c = n1 - 1 through the bridges
+    (a = 1). So their order-(h + 2) values differ by exactly (2 - R) dc,
+    R = m + n1 - 1 >= 3. Points must differ at an order <= 2 (starlike ones
+    at order 2, where m(m - 1) / 2 + n - 1 - m rises with m; coalesced ones
+    at order 1, where n - n1 + n1(n1 - 1) / 2 rises with n1), and each cell
+    needs R - 2 > tol * max(1, V), V = _path_bound(point, h + 2), with
+    _SLACK for the rounding of the test. Where every _path_bound the cells
+    read, from order 1 up, is below 2**53, each count and each value is an
+    exact integer float, so the values differ by at least R - 2 and are at
+    most V in size: not _close.
+
     Built-ins with a product-sum form only. False when a check fails or f
     raises: the sweep then runs as it would have. Had the sweep run, each
     of its groups at order h would share a point and its counts below h, so
-    it would read orders up to a point's last cell there, each with finite
-    _cell_bounds: none of its evaluations raises when this returns True.
+    it would read orders up to a point's last cell there (plus the lag),
+    each with finite _cell_bounds: none of its evaluations raises when this
+    returns True.
     """
     if f.multiset is None:
         return False
+    lag = 2 if f.multiset is _SIMPLE_BUILTINS["path-count"][1] else 0
     try:
-        zero = [_evaluate((*point, {}), 0, f) for point in points]
-        if any(_close(x, y, tol) for x, y in combinations(zero, 2)):
+        heads = [[_evaluate((*point, {}), k, f) for k in range(lag + 1)] for point in points]
+        if any(_first_difference(x, y, tol) is None for x, y in combinations(heads, 2)):
             return False
         for point in points:
-            _, n2, m = point
-            for h in range(1, (n2 - 1 - m) // 2 + 1):
-                if not _cell_separates(f, point, h, tol):
+            n1, n2, m = point
+            cells = range(1, (n2 - 1 - m) // 2 + 1)
+            if lag:
+                # bounds[k - 1] is order k's; cell h reads order h + 2
+                bounds = [_path_bound(point, k) for k in range(1, cells.stop + lag)]
+                if max(bounds) >= 2**53 or not all(
+                    n1 + m - 3 > _SLACK * tol * max(1, v) for v in bounds[lag:]
+                ):
                     return False
+            elif not all(_cell_separates(f, point, h, tol) for h in cells):
+                return False
     except (ArithmeticError, IndexEvaluationError):
         return False
     return True
@@ -741,7 +778,8 @@ def survey_distinguishability(
     collides; the spec count is then a sum of partition counts. Otherwise
     _sweep lists the specs and refines them into groups order by order, as
     distinguish does for two. Both ways give the same report, or raise the
-    same error.
+    same error. ValueError unless 0 <= tol < 1, the family takes the hub
+    degree given, and the vertex count and the hub degree are ints.
     """
     _check_tol(tol)
     starlike = family == "starlike"

@@ -99,9 +99,14 @@ CASES = [
                                              "--index", "sum-connectivity"), 0),
     ("survey-generalized", ("survey", "--family", "generalized", "--size", "10", "--max-degree", "6",
                             "--index", "connectivity"), 0),
-    # the proof gives up on these two, so the specs are listed and compared
+    # path-count's proof reads orders 0-2 and lag-2 cells, and lists no spec
     ("survey-starlike-14-path-count", ("survey", "--family", "starlike", "--size", "14",
                                        "--index", "path-count"), 0),
+    ("survey-starlike-30-path-count-csv", ("survey", "--family", "starlike", "--size", "30",
+                                           "--index", "path-count", *CSV), 0),
+    ("survey-generalized-22-path-count", ("survey", "--family", "generalized", "--size", "22",
+                                          "--max-degree", "9", "--index", "path-count"), 0),
+    # the proof gives up at this tolerance, so the specs are listed and compared
     ("survey-starlike-9-tol-csv", ("survey", "--family", "starlike", "--size", "9",
                                    "--index", "connectivity", "--tol", "0.3", *CSV), 0),
     ("output-profile-k5", ("profile", *K5, "--index", "connectivity", "--output", "@report.json"), 0),

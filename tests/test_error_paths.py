@@ -30,6 +30,7 @@ from pathseq import (
     builtin,
     census_series,
     enumerate_paths,
+    generalized_specs,
     load_edge_list,
     load_generalized_spec,
     load_starlike_spec,
@@ -38,6 +39,8 @@ from pathseq import (
     parse_edge_list,
     parse_generalized_spec,
     parse_starlike_spec,
+    reconstruct_starlike,
+    starlike_specs,
     survey_distinguishability,
 )
 from pathseq.cli import main
@@ -246,6 +249,25 @@ def test_survey_family_and_hub_degree_must_agree(family, max_degree):
     with pytest.raises(ValueError, match=family) as err:
         survey_distinguishability(8, CONN, family, max_degree=max_degree)
     assert "must be 'starlike' (no hub degree) or 'generalized' (with one)" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: survey_distinguishability(12.5, CONN),
+        lambda: starlike_specs(9.5),
+        lambda: generalized_specs(12, 6.5),
+        lambda: reconstruct_starlike(9.5, [10.0, 9.0], CONN),
+        # a bool is an int to Python, and these answered with "n": true or an empty slice
+        lambda: survey_distinguishability(True, CONN),
+        lambda: survey_distinguishability(12, CONN, "generalized", True),
+    ],
+    ids=["survey-float-n", "starlike-specs", "generalized-specs", "reconstruct",
+         "survey-bool-n", "survey-bool-r"],
+)
+def test_a_slice_that_is_not_an_int_is_a_value_error(call):
+    with pytest.raises(ValueError, match=r"^need an int vertex count and hub degree; got "):
+        call()
 
 
 # --- CLI output and the public names --------------------------------------

@@ -46,8 +46,10 @@ from pathseq.starlike import _point
 
 # takes both signs, e.g. f(1) < 0 < f(3, 2)
 MIXED = InvariantFunction("mixed-sign", lambda d: (sum(d) - 2.2 * len(d)) / math.prod(d))
-INDICES = [builtin("connectivity"), builtin("path-count"), MIXED]
-# every built-in with a product-sum form, path-count aside (its slopes are 0)
+PATH_COUNT = builtin("path-count")
+INDICES = [builtin("connectivity"), PATH_COUNT, MIXED]
+# every built-in with a product-sum form and nonzero slopes; path-count's
+# slopes are 0, and the proof takes it with lag-2 cells (PATH_COUNT below)
 PROVABLE = [builtin("connectivity"), builtin("sum-connectivity"), builtin("hyper-zagreb"),
             builtin("power", 0.5), builtin("power", -1)]
 SURVEY_INDICES = INDICES + PROVABLE[1:]
@@ -92,7 +94,7 @@ def test_sweep_matches_all_pairs(monkeypatch, f, tol):
         assert report == swept(monkeypatch, n, f, family, r, tol)
         proven += _proven(list(_order0_points(n, r).values()), f, tol)
     # the proof decides most slices at the default tolerance, and needs a product-sum form
-    if f in PROVABLE and tol < 0.3:
+    if f in [*PROVABLE, PATH_COUNT] and tol < 0.3:
         assert proven > len(SLICES) // 2
     if f.multiset is None:
         assert proven == 0
@@ -217,6 +219,37 @@ def test_a_proven_slice_builds_no_census_past_order_0(merged_orders, f, n, r):
     assert merged_orders == [0] * len(_order0_points(n, r))
 
 
+@pytest.mark.parametrize("n, r", [(15, None), (30, None), (16, 7), (22, 9)])
+def test_a_proven_path_count_slice_lists_no_spec_and_builds_no_census_past_order_2(
+    monkeypatch, merged_orders, n, r
+):
+    count = len(family(n, r))
+    monkeypatch.setattr(pathseq.reconstruct, "_branch_sets", None)
+    report = survey_distinguishability(n, PATH_COUNT, "starlike" if r is None else "generalized", r)
+    assert report.collisions == [] and report.spec_count == count
+    # orders 0-2 once per point, for the values that part the points
+    assert merged_orders == [0, 1, 2] * len(_order0_points(n, r))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9])
+def test_path_count_is_proven_on_every_slice_at_a_tight_tolerance(tol):
+    slices = [(n, None) for n in range(9, 41)] + [(n, r) for _, n, r in SLICES if r is not None]
+    for n, r in slices:
+        assert _proven(list(_order0_points(n, r).values()), PATH_COUNT, tol), (n, r, tol)
+
+
+# at tol 0.12 these slices' points part by order 2, but some same-point specs collide
+@pytest.mark.parametrize("n, r", [(20, 8), (22, 9)])
+def test_path_count_proof_gives_up_where_points_part_but_cells_collide(monkeypatch, n, r):
+    points = list(_order0_points(n, r).values())
+    report = survey_distinguishability(n, PATH_COUNT, "generalized", r, 0.12)
+    assert report.collisions and not _proven(points, PATH_COUNT, 0.12)
+    assert report == swept(monkeypatch, n, PATH_COUNT, "generalized", r, 0.12)
+    # so the cells give the proof up: with no bound on their values it would hold
+    monkeypatch.setattr(pathseq.reconstruct, "_path_bound", lambda point, h: 0)
+    assert _proven(points, PATH_COUNT, 0.12)
+
+
 def test_partition_counts_count_the_branch_sets():
     table = _partition_counts(39)
     assert table[0] == [1] + [0] * 39
@@ -278,7 +311,8 @@ def test_a_path_count_survey_compares_each_grouped_spec_with_one_neighbour(monke
         return real_close(x, y, tol)
 
     monkeypatch.setattr(pathseq.reconstruct, "_close", counted)
-    report = survey_distinguishability(24, builtin("path-count"))
+    # the proof would decide this slice, and no spec would reach the refinement
+    report = swept(monkeypatch, 24, PATH_COUNT)
     h_max = max(s.longest_path_length for s in starlike_specs(24))
     assert (report.spec_count, h_max, report.collisions) == (1243, 22, [])
     assert len(calls) <= report.spec_count * (h_max + 1)
@@ -364,6 +398,19 @@ def test_pairs_of_a_proven_cell_separate_at_its_length(slice_, f, tol, data):
         h = next(h for h in range(1, a.vertex_count) if a.count(h) != b.count(h))
         if _cell_separates(f, family_point(a), h, tol):
             assert distinguish(a, b, f, tol) == h
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(FAMILY_SLICES), st.data())
+def test_path_count_parts_same_point_specs_two_orders_after_their_first_difference(slice_, data):
+    a = data.draw(st.sampled_from(family(*slice_)), label="a")
+    b = data.draw(st.sampled_from(by_point(*slice_)[family_point(a)]), label="b")
+    if a != b:
+        h = next(h for h in range(1, a.vertex_count) if a.count(h) != b.count(h))
+        assert distinguish(a, b, PATH_COUNT) == h + 2
+        # the hub degree R = m + n1 - 1 weighs the difference in length-h counts
+        ka, kb = (starlike_profile(s, PATH_COUNT, h + 2)[h + 2] for s in (a, b))
+        assert ka - kb == (2 - a.max_degree) * (a.count(h) - b.count(h))
 
 
 def _exact_power(k):
