@@ -83,3 +83,15 @@ class BudgetMismatchError(ReconstructionError):
 
 class ProfileMismatchError(ReconstructionError):
     """The rebuilt spec does not reproduce the input profile."""
+
+
+def _is_int(value: object) -> bool:
+    """An int that is not a bool: json.load gives true/false as bool, an int subclass."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _need_int(name: str, value: object, least: int | None = None) -> None:
+    """ValueError unless a size, order, degree or budget is an int, not a bool, >= least."""
+    if not _is_int(value) or least is not None and value < least:
+        bound = "" if least is None else f">= {least} and "
+        raise ValueError(f"{name} must be {bound}an int (not a bool); got {value!r}")

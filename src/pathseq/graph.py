@@ -24,6 +24,7 @@ from .errors import (
     SelfLoopError,
     UnreadableFileError,
     VertexOutOfRangeError,
+    _need_int,
 )
 
 # Node-expansion cap shared by every exhaustive walk. Exceeding it raises;
@@ -62,6 +63,7 @@ class Graph(NamedTuple):
     def census(self, order: int, budget: int = DEFAULT_BUDGET) -> Census:
         """Census of canonical degree sequences over all paths of one order;
         empty, without a walk, for order >= n."""
+        _need_int("order", order, 0)
         if order >= self.vertex_count:
             return Census(order=order, entries={})
         return census_series(self, order, budget)[order]
@@ -89,8 +91,7 @@ def build_graph(vertex_count: int, edges: Iterable[tuple[int, int]]) -> Graph:
     Raises VertexOutOfRangeError, SelfLoopError, DuplicateEdgeError or
     DisconnectedError, each naming the offending edge or vertex.
     """
-    if vertex_count < 1:
-        raise ValueError(f"vertex_count must be positive, got {vertex_count}")
+    _need_int("vertex_count", vertex_count, 1)
     # sets only where edges touch, so a huge header over few edges stays small
     neighbor_sets: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in edges:
@@ -303,8 +304,8 @@ def enumerate_paths(
     Order 0 paths are the single vertices. No path has n or more edges, so
     such orders yield nothing without a walk.
     """
-    if order < 0:
-        raise ValueError(f"order must be >= 0, got {order}")
+    _need_int("order", order, 0)
+    _need_int("budget", budget, 0)
     if order >= graph.vertex_count:
         return
     for trail, _ in _walk(graph, order, budget, range(graph.vertex_count)):
@@ -324,8 +325,8 @@ def census_series(
     of paths it stands for; the budget is charged one expansion per
     oriented vertex path all the same.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    _need_int("max_order", max_order, 0)
+    _need_int("budget", budget, 0)
     depth = min(max_order, graph.vertex_count - 1)
     counts: list[dict[tuple[int, ...], int]] = [defaultdict(int) for _ in range(depth + 1)]
     for trail, count in _walk(graph, depth, budget, graph.degrees, _twins(graph)):
@@ -347,6 +348,7 @@ def longest_path_length(graph: Graph, budget: int = DEFAULT_BUDGET) -> int:
     first path through all n vertices. The search charges the budget what a
     vertex-by-vertex search would, so it raises at the same budgets.
     """
+    _need_int("budget", budget, 0)
     n = graph.vertex_count
     if graph.edge_count == n - 1:
         dist = _distances(graph.adjacency, 0)

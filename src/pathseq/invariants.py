@@ -9,9 +9,10 @@ sequences of all order-h paths.
 from __future__ import annotations
 
 import math
+from numbers import Real
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError
+from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError, _need_int
 from .graph import DEFAULT_BUDGET, Census, Graph
 
 DEFAULT_TOL = 1e-9
@@ -23,9 +24,9 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 
 def _check_tol(tol: float) -> None:
-    """ValueError unless 0 <= tol < 1: at tol >= 1 any two values of one sign
-    are _close, and below 0 (or NaN) a value is not _close to itself."""
-    if not 0 <= tol < 1:
+    """ValueError unless tol is a real in [0, 1): at tol >= 1 any two values of
+    one sign are _close, and below 0 (or NaN) a value is not _close to itself."""
+    if not (isinstance(tol, Real) and 0 <= tol < 1):
         raise ValueError(f"tolerance must be >= 0 and < 1, got {tol!r}")
 
 
@@ -144,22 +145,26 @@ SYMMETRY_REL_TOL = 1e-12
 def validate_symmetry(fn: Callable[[tuple[int, ...]], float], rng: random.Random) -> None:
     """Spot-check reversal symmetry on random degree sequences.
 
-    Raises SymmetryError on the first violating sequence.
+    Raises SymmetryError on the first violating sequence; IndexEvaluationError if f fails.
     """
     for _ in range(SYMMETRY_TRIALS):
         length = rng.randint(1, SYMMETRY_MAX_LENGTH)
         seq = tuple(rng.randint(1, 64) for _ in range(length))
-        a = fn(seq)
-        b = fn(seq[::-1])
-        if abs(a - b) > SYMMETRY_REL_TOL * max(1.0, abs(a), abs(b)):
-            raise SymmetryError(
-                f"f{seq} = {a!r} but f{seq[::-1]} = {b!r}; index functions must be"
-                " symmetric under reversal"
-            )
+        try:
+            a, b = fn(seq), fn(seq[::-1])
+            if abs(a - b) > SYMMETRY_REL_TOL * max(1.0, abs(a), abs(b)):
+                raise SymmetryError(
+                    f"f{seq} = {a!r} but f{seq[::-1]} = {b!r}; index functions must be"
+                    " symmetric under reversal"
+                )
+        except (ArithmeticError, TypeError) as exc:
+            raise IndexEvaluationError(f"index function at {seq}: {exc}") from exc
 
 
 def register_invariant(name: str, fn: Callable[[tuple[int, ...]], float]) -> InvariantFunction:
     """Register a user-supplied index function after a seeded symmetry check."""
+    if not callable(fn):
+        raise ValueError(f"index function for {name!r} must be callable, got {fn!r}")
     if name in _SIMPLE_BUILTINS or name == "power":
         raise ValueError(f"{name!r} is reserved for a built-in index")
     import random  # only a registration draws sequences
@@ -186,11 +191,11 @@ def resolve_index(text: str) -> InvariantFunction:
 
 def invariant_from_census(census: Census, f: InvariantFunction) -> float:
     """Sum f over a census, weighted by multiplicity. f maps its own
-    arithmetic failures; an overflow in the weighted sum becomes
-    IndexEvaluationError here."""
+    arithmetic failures; an overflow in the weighted sum, or a value of f
+    that is not a number, becomes IndexEvaluationError here."""
     try:
         return math.fsum(count * f(seq) for seq, count in census.entries.items())
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         raise IndexEvaluationError(f"index {f.name!r} at order {census.order}: {exc}") from exc
 
 
@@ -214,8 +219,7 @@ def invariant_profile(
     that can have a path (n - 1 edges for a graph, the longest path for a
     spec); the orders past it are 0.0.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
+    _need_int("max_order", max_order, 0)
     if isinstance(obj, Graph):
         values = [invariant_from_census(c, f) for c in obj.censuses(max_order, budget)]
     else:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from itertools import combinations, pairwise, repeat
 from math import inf, ldexp, perm
+from numbers import Real
 from operator import ge, sub
 from typing import Iterator, NamedTuple
 
@@ -25,6 +26,7 @@ from .errors import (
     NonIntegerBranchCountError,
     ProfileMismatchError,
     SizeMismatchError,
+    _need_int,
 )
 from .invariants import (
     DEFAULT_TOL,
@@ -35,7 +37,7 @@ from .invariants import (
     _first_difference,
     _power_form,
 )
-from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _is_int, _point
+from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point
 from .starlike import mu_coefficient, mu_row
 
 # how far a recovered branch count may sit from an integer
@@ -50,10 +52,10 @@ def _order0_points(n: int, r: int | None = None) -> dict[int, tuple[int, int, in
     which need n2 - 1 = n - n1 >= m vertices, so n > r. Reconstruction, spec
     listing, the survey and condition (a) all read this table. ValueError
     unless n and r (when given) are ints, not bools."""
-    if not (_is_int(n) and (r is None or _is_int(r))):
-        raise ValueError(f"need an int vertex count and hub degree; got {n!r}, {r!r}")
+    _need_int("vertex_count", n)
     if r is None:
         return {m: (1, n, m) for m in range(3, n)}
+    _need_int("max_degree", r)
     return {n1: (n1, n - n1 + 1, r + 1 - n1) for n1 in range(3, r - 1)} if n > r else {}
 
 
@@ -163,8 +165,8 @@ def _check_conditions(
     2, at every depth t <= t_max. Its margin is |mu_coefficient(f, t + 1,
     x)|, from _rows_b; a NaN margin fails and is no minimum."""
     _check_tol(tol)
-    if not (isinstance(x_max, int) and isinstance(t_max, int) and x_max >= 4 and t_max >= 0):
-        raise ValueError(f"need x_max >= 4 and t_max >= 0; got {x_max!r}, {t_max!r}")
+    _need_int("x_max", x_max, 4)
+    _need_int("t_max", t_max, 0)
     if family == "starlike":
         g = {m: f((m,)) for m in _order0_points(x_max + 1)}
         witness_a, min_a = _condition_a(g, f((2,)) - f((1,)), tol)
@@ -262,8 +264,8 @@ def check_starlike_conditions(
 
     (a) the divided difference of f over the root degrees 3..x_max that
     reconstruction scans must avoid f(2) - f(1); (b) the leaf-swap gap must
-    be nonzero at every depth. ValueError unless x_max >= 4, t_max >= 0 and
-    0 <= tol < 1.
+    be nonzero at every depth. ValueError unless x_max >= 4 and t_max >= 0
+    are ints and 0 <= tol < 1.
     """
     return _check_conditions("starlike", f, x_max, t_max, tol)
 
@@ -329,6 +331,8 @@ def _reconstruct(
         raise NoCandidateRootError(f"no {family} tree has {n} vertices{hub}")
     if not profile:
         raise BudgetMismatchError("profile is empty")
+    if wrong := [v for v in profile if not isinstance(v, Real)]:
+        raise ValueError(f"profile entries must be real numbers; got {wrong[0]!r}")
     zero = {key: _evaluate((*point, {}), 0, f, True) for key, point in points.items()}
     matches = [key for key, value in zero.items() if _close(profile[0], value, tol)]
     if not matches:
@@ -411,8 +415,8 @@ def reconstruct_starlike(
 
     The profile must cover orders 0..h_max with h_max at least the longest
     branch length. Raises a ReconstructionError subclass rather than ever
-    returning a spec that does not reproduce the input, and ValueError
-    unless 0 <= tol < 1 and the vertex count is an int.
+    returning a spec that does not reproduce the input, and ValueError unless
+    0 <= tol < 1, the vertex count is an int and the profile entries are reals.
     """
     return _reconstruct(vertex_count, None, profile, f, tol)
 
@@ -431,6 +435,7 @@ def reconstruct_generalized(
     the tree part with the hub degree in every crossing class. Errors as
     for reconstruct_starlike; the hub degree must be an int too.
     """
+    _need_int("max_degree", max_degree)
     return _reconstruct(vertex_count, max_degree, profile, f, tol)
 
 
@@ -514,11 +519,12 @@ def distinguish(
     Orders beyond both longest paths carry no information (both invariants
     are identically zero there), so the scan stops at the larger of the two.
     Orders are evaluated one at a time, and none past the separating order:
-    the two-spec case of the survey's refinement.
-    ValueError unless 0 <= tol < 1.
+    the two-spec case of the survey's refinement. ValueError unless 0 <=
+    tol < 1, and FamilyMismatchError unless both are specs of one family.
     """
     _check_tol(tol)
-    if (a.clique_size == 1) != (b.clique_size == 1):
+    specs = isinstance(a, StarlikeSpec) and isinstance(b, StarlikeSpec)
+    if not specs or (a.clique_size == 1) != (b.clique_size == 1):
         raise FamilyMismatchError(
             f"cannot compare {type(a).__name__} with {type(b).__name__}"
         )
@@ -564,6 +570,7 @@ def starlike_specs(vertex_count: int) -> list[StarlikeSpec]:
 def generalized_specs(vertex_count: int, max_degree: int) -> list[GenStarlikeSpec]:
     """Every coalesced spec with the given vertex count and hub degree,
     ordered by clique size and then branches. ValueError unless both are ints."""
+    _need_int("max_degree", max_degree)
     return _specs(vertex_count, max_degree)
 
 

@@ -25,14 +25,9 @@ from itertools import accumulate, repeat
 from math import fsum, perm
 from typing import Callable, Iterable, Iterator, Mapping
 
-from .errors import FormatError, IndexEvaluationError, InvalidSpecError
+from .errors import FormatError, IndexEvaluationError, InvalidSpecError, _is_int, _need_int
 from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class, read_text
 from .invariants import InvariantFunction, evaluate_invariant, invariant_profile
-
-
-def _is_int(value: object) -> bool:
-    """A JSON integer: json.load gives true/false as bool, an int subclass."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_int_branch(length: object, count: object) -> None:
@@ -154,6 +149,7 @@ class StarlikeSpec:
     def census(self, order: int, budget: int = DEFAULT_BUDGET) -> Census:
         """Closed-form census at any order >= 0; past the longest path it is
         empty, and no term is built."""
+        _need_int("order", order, 0)
         if order > self.longest_path_length:
             return Census(order=order, entries={})
         return _census(order, _point(self, order))
@@ -167,6 +163,7 @@ class StarlikeSpec:
     def value(self, order: int, f: InvariantFunction) -> float:
         """The order-h invariant; past the longest path it is 0.0, and no
         term is built."""
+        _need_int("order", order, 0)
         if order > self.longest_path_length:
             return 0.0
         return _evaluate(_point(self, order), order, f, True)
@@ -248,8 +245,6 @@ def _terms(
     realizable; zero counts are not yielded. S, when given, holds S[k], the
     number of branches of length <= k, for every k <= h.
     """
-    if h < 0:
-        raise ValueError(f"order must be >= 0, got {h}")
     R = m + n1 - 1
     c = n1 - 1
     if h == 0:
@@ -401,7 +396,7 @@ def _evaluate(point: tuple, h: int, f: InvariantFunction, spec: bool = False) ->
         if g is None:
             return fsum([count * f(_degrees(runs)) for runs, count in classes])
         return fsum([count * g(*_product_sum(runs)) for runs, count in classes])
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         raise IndexEvaluationError(f"index {f.name!r} at order {h}: {exc}") from exc
 
 
@@ -423,8 +418,7 @@ def mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]:
     way a value is f(x + leaf) - f(x + inner) - (f(2 + leaf) - f(2 + inner)),
     with the same floats and the same first error.
     """
-    if h < 1:
-        raise ValueError(f"slope is defined for h >= 1, got {h}")
+    _need_int("order", h, 1)
     g = f.multiset
     try:
         if g is None:
@@ -434,7 +428,7 @@ def mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]:
         k, s = h - 1, 2 * h
         swap = g(2 << k, s + 1) - g(2 << h, s + 2)
         return [g(x << k, x + s - 1) - g(x << h, x + s) - swap for x in degrees]
-    except ArithmeticError as exc:
+    except (ArithmeticError, TypeError) as exc:
         raise IndexEvaluationError(f"index {f.name!r} at order {h}: {exc}") from exc
 
 
@@ -447,8 +441,7 @@ def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
     net interior segment. That is the leaf swap after degree m less the leaf
     swap after degree 2, the margin of condition (b) at t = h - 1.
     """
-    if m < 3:
-        raise ValueError(f"root degree must be >= 3, got {m}")
+    _need_int("root degree", m, 3)
     return mu_row(f, h, (m,))[0]
 
 
@@ -462,10 +455,8 @@ def tail_coefficients(
     up to h stay fixed. Requires h >= 5 so the coefficients depend only on
     the counts of lengths 1 and 2 (count_len1, count_len2).
     """
-    if h < 5:
-        raise ValueError(f"tail coefficients are exposed for h >= 5, got {h}")
-    if m < 3:
-        raise ValueError(f"root degree must be >= 3, got {m}")
+    _need_int("order", h, 5)
+    _need_int("root degree", m, 3)
     # n2 enters only the interior count, and cancels in the difference
     base = {1: count_len1, 2: count_len2}
     zero = _evaluate((1, 0, m, base), h, f)

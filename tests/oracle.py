@@ -120,3 +120,34 @@ def oracle_condition_b(fn, x_max, t_max, tol):
             if witness is None and not margin > tol:
                 witness = (t, x)
     return witness, low
+
+
+def walk_sums(n, edges, w, max_order):
+    """Exact values, orders 0..max_order, of the index f(d) = prod w(d_i) on
+    a tree, from non-backtracking walk sums: no census and no path list.
+
+    In a tree each path of length h >= 1 is two non-backtracking walks, one
+    each way. A[e] sums the weight products of the walks of length h that
+    end with the directed edge e = (u -> v): A_1(u -> v) = w(u) w(v), and
+    A_(h+1)(v -> x) = (sum over u of A_h(u -> v) - A_h(x -> v)) * w(x), the
+    walks into v that did not come from x. The order-h value is sum(A_h) / 2.
+    With int weights every value is an exact int.
+    """
+    deg = [0] * n
+    for a, b in edges:
+        deg[a] += 1
+        deg[b] += 1
+    weight = [w(d) for d in deg]
+    tails = [a for a, _ in edges] + [b for _, b in edges]
+    heads = [b for _, b in edges] + [a for a, _ in edges]
+    half = len(edges)
+    reverse = list(range(half, 2 * half)) + list(range(half))
+    walks = [weight[t] * weight[h] for t, h in zip(tails, heads)]
+    values = [sum(weight)]
+    for _ in range(max_order):
+        values.append(sum(walks) // 2)
+        into = [0] * n
+        for head, a in zip(heads, walks):
+            into[head] += a
+        walks = [(into[t] - walks[r]) * weight[h] for t, h, r in zip(tails, heads, reverse)]
+    return values

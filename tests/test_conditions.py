@@ -137,7 +137,9 @@ def test_reports_on_the_built_in_indices_are_pinned(want):
 def test_conditions_take_the_cli_ranges(family, kwargs):
     # Outside these ranges a scan passes vacuously: x_max 2 leaves no pair
     # (margins inf), t_max -1 no depth, and tol -1.0 passes path-count's 0.0.
-    match = "tolerance must be >= 0 and < 1" if "tol" in kwargs else "x_max >= 4 and t_max >= 0"
+    (name,) = kwargs
+    match = {"x_max": r"^x_max must be >= 4 and an int", "t_max": r"^t_max must be >= 0 and an int",
+             "tol": "tolerance must be >= 0 and < 1"}[name]
     with pytest.raises(ValueError, match=match):
         CHECKS[family](builtin("path-count"), **kwargs)
 
@@ -145,7 +147,8 @@ def test_conditions_take_the_cli_ranges(family, kwargs):
 @pytest.mark.parametrize("family", sorted(CHECKS))
 @pytest.mark.parametrize("x_max, t_max", [(4.5, 32), (64, 2.5), (8, "3"), (64.0, 32), (None, 32)])
 def test_conditions_refuse_a_range_that_is_not_an_int(family, x_max, t_max):
-    with pytest.raises(ValueError, match=r"^need x_max >= 4 and t_max >= 0; got "):
+    wrong = "x_max must be >= 4" if type(x_max) is not int else "t_max must be >= 0"
+    with pytest.raises(ValueError, match=rf"^{wrong} and an int \(not a bool\); got "):
         CHECKS[family](builtin("path-count"), x_max, t_max)
 
 

@@ -4,8 +4,10 @@ in a traceback or a per-vertex allocation."""
 
 import ast
 import importlib
+import inspect
 import json
 import os
+import re
 import sys
 import tracemalloc
 import types
@@ -18,6 +20,7 @@ import pathseq
 from pathseq import (
     DisconnectedError,
     DuplicateEdgeError,
+    FamilyMismatchError,
     FormatError,
     GenStarlikeSpec,
     InvalidSpecError,
@@ -29,7 +32,10 @@ from pathseq import (
     build_graph,
     builtin,
     census_series,
+    check_starlike_conditions,
+    distinguish,
     enumerate_paths,
+    evaluate_invariant,
     generalized_specs,
     load_edge_list,
     load_generalized_spec,
@@ -39,15 +45,23 @@ from pathseq import (
     parse_edge_list,
     parse_generalized_spec,
     parse_starlike_spec,
+    reconstruct_generalized,
     reconstruct_starlike,
+    starlike_profile,
     starlike_specs,
     survey_distinguishability,
+    tail_coefficients,
 )
 from pathseq.cli import main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONN = builtin("connectivity")
+# the tail of every message of the one argument check, pathseq.errors._need_int
+AN_INT = "an int (not a bool)"
+INT = re.escape(AN_INT)
 SPIDER = {"branches": [{"length": 1, "count": 1}, {"length": 2, "count": 2}]}
+STAR = StarlikeSpec.from_counts({1: 2, 2: 1})
+PATH4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
 LOADERS = {
     "graph": load_edge_list,
     "starlike": load_starlike_spec,
@@ -196,7 +210,7 @@ def test_disconnected_graph_names_the_least_vertex_not_reached_from_0(case):
 
 
 def test_empty_graphs_are_refused():
-    with pytest.raises(ValueError, match="vertex_count must be positive"):
+    with pytest.raises(ValueError, match=rf"^vertex_count must be >= 1 and {INT}; got 0$"):
         build_graph(0, [])
     with pytest.raises(FormatError, match="header values out of range"):
         parse_edge_list("0 0\n")
@@ -235,7 +249,7 @@ def test_zero_counts_are_dropped_at_any_length():
 
 
 def test_slopes_outside_their_domain_are_value_errors():
-    with pytest.raises(ValueError, match="h >= 1"):
+    with pytest.raises(ValueError, match=rf"^order must be >= 1 and {INT}; got 0$"):
         mu_row(CONN, 0, [3, 4])
     with pytest.raises(ValueError, match="root degree must be >= 3"):
         mu_coefficient(CONN, 1, 2)
@@ -261,13 +275,157 @@ def test_survey_family_and_hub_degree_must_agree(family, max_degree):
         # a bool is an int to Python, and these answered with "n": true or an empty slice
         lambda: survey_distinguishability(True, CONN),
         lambda: survey_distinguishability(12, CONN, "generalized", True),
+        # None names the starlike slice inside, and these answered with starlike specs
+        lambda: generalized_specs(9, None),
+        lambda: reconstruct_generalized(5, None, starlike_profile(STAR, CONN, 3), CONN),
     ],
     ids=["survey-float-n", "starlike-specs", "generalized-specs", "reconstruct",
-         "survey-bool-n", "survey-bool-r"],
+         "survey-bool-n", "survey-bool-r", "generalized-specs-none", "reconstruct-none"],
 )
 def test_a_slice_that_is_not_an_int_is_a_value_error(call):
-    with pytest.raises(ValueError, match=r"^need an int vertex count and hub degree; got "):
+    with pytest.raises(ValueError, match=rf"^(vertex_count|max_degree) must be {INT}; got "):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: starlike_profile(STAR, CONN, 2.5),
+         f"max_order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: evaluate_invariant(STAR, 2.5, CONN), f"order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: census_series(PATH4, 2.5), f"max_order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: census_series(PATH4, 3, "x"), f"budget must be >= 0 and {AN_INT}; got 'x'"),
+        (lambda: mu_coefficient(CONN, 2.5, 3), f"order must be >= 1 and {AN_INT}; got 2.5"),
+        (lambda: tail_coefficients(CONN, 5.5, 3, 1, 1),
+         f"order must be >= 5 and {AN_INT}; got 5.5"),
+        (lambda: build_graph(2.5, [(0, 1)]), f"vertex_count must be >= 1 and {AN_INT}; got 2.5"),
+        (lambda: reconstruct_starlike(9, "abc", CONN),
+         "profile entries must be real numbers; got 'a'"),
+        (lambda: reconstruct_starlike(9, [None] * 6, CONN),
+         "profile entries must be real numbers; got None"),
+        (lambda: distinguish(STAR, STAR, CONN, "0.1"), "tolerance must be >= 0 and < 1, got '0.1'"),
+        (lambda: check_starlike_conditions(CONN, 64, 32, "0.1"),
+         "tolerance must be >= 0 and < 1, got '0.1'"),
+        # these two answered: a bool passed isinstance(t_max, int), and the
+        # walk read 2.5 as order 2
+        (lambda: check_starlike_conditions(CONN, 64, True),
+         f"t_max must be >= 0 and {AN_INT}; got True"),
+        (lambda: list(enumerate_paths(PATH4, 2.5)), f"order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: STAR.census(2.5), f"order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: PATH4.census(2.5), f"order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: STAR.value(2.5, CONN), f"order must be >= 0 and {AN_INT}; got 2.5"),
+    ],
+    ids=["starlike-profile", "evaluate-invariant", "census-series", "census-series-budget",
+         "mu-coefficient", "tail-coefficients", "build-graph", "profile-str", "profile-none",
+         "distinguish-tol", "conditions-tol", "conditions-bool", "enumerate-paths",
+         "spec-census", "graph-census", "spec-value"],
+)
+def test_a_wrong_argument_is_a_value_error_stating_the_rule(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_distinguish_names_both_types_when_one_is_not_a_spec():
+    with pytest.raises(FamilyMismatchError, match=r"^cannot compare StarlikeSpec with Graph$"):
+        distinguish(STAR, PATH4, CONN)
+    with pytest.raises(FamilyMismatchError, match=r"^cannot compare tuple with StarlikeSpec$"):
+        distinguish(STAR.branches, STAR, CONN)
+
+
+# Every public callable that takes a size, order, degree, budget or
+# tolerance: its arguments with one left open, by the open parameter's
+# name, and the least int that parameter takes ("tol" for a tolerance,
+# None for an int with no least value).
+_G = PATH4  # a tree: longest_path_length reads no budget on it, and still checks it
+ARGUMENTS = {
+    "build_graph": {"vertex_count": (1, lambda v: (v, [(0, 1)]))},
+    "census_series": {"max_order": (0, lambda v: (_G, v)), "budget": (0, lambda v: (_G, 3, v))},
+    "enumerate_paths": {"order": (0, lambda v: (_G, v)), "budget": (0, lambda v: (_G, 2, v))},
+    "longest_path_length": {"budget": (0, lambda v: (_G, v))},
+    "path_census": {"order": (0, lambda v: (_G, v)), "budget": (0, lambda v: (_G, 1, v))},
+    "evaluate_invariant": {"order": (0, lambda v: (STAR, v, CONN)),
+                           "budget": (0, lambda v: (_G, 1, CONN, v))},
+    "invariant_profile": {"max_order": (0, lambda v: (STAR, CONN, v)),
+                          "budget": (0, lambda v: (_G, CONN, 2, v))},
+    "starlike_census": {"order": (0, lambda v: (STAR, v))},
+    "mu_row": {"h": (1, lambda v: (CONN, v, [3]))},
+    "mu_coefficient": {"h": (1, lambda v: (CONN, v, 3)), "m": (3, lambda v: (CONN, 2, v))},
+    "tail_coefficients": {"h": (5, lambda v: (CONN, v, 3, 1, 1)),
+                          "m": (3, lambda v: (CONN, 5, v, 1, 1))},
+    "check_starlike_conditions": {"x_max": (4, lambda v: (CONN, v, 4)),
+                                  "t_max": (0, lambda v: (CONN, 4, v)),
+                                  "tol": ("tol", lambda v: (CONN, 4, 4, v))},
+    "reconstruct_starlike": {"vertex_count": (None, lambda v: (v, [7.0], CONN)),
+                             "tol": ("tol", lambda v: (7, [7.0], CONN, v))},
+    "reconstruct_generalized": {"vertex_count": (None, lambda v: (v, 6, [9.0], CONN)),
+                                "max_degree": (None, lambda v: (9, v, [9.0], CONN)),
+                                "tol": ("tol", lambda v: (9, 6, [9.0], CONN, v))},
+    "distinguish": {"tol": ("tol", lambda v: (STAR, STAR, CONN, v))},
+    "starlike_specs": {"vertex_count": (None, lambda v: (v,))},
+    "generalized_specs": {"vertex_count": (None, lambda v: (v, 6)),
+                          "max_degree": (None, lambda v: (9, v))},
+    "survey_distinguishability": {
+        "vertex_count": (None, lambda v: (v, CONN)),
+        "max_degree": (None, lambda v: (9, CONN, "generalized", v)),
+        "tol": ("tol", lambda v: (7, CONN, "starlike", None, v)),
+    },
+    "coalesce_spec": {"clique_size": (2, lambda v: (v, {1: 3}))},
+    "StarlikeSpec": {"clique_size": (1, lambda v: (STAR.branches, v))},
+    "GenStarlikeSpec": {"clique_size": (3, lambda v: (v, STAR))},
+}
+# names that take the arguments of one above: the same callable under the
+# other family's name, or the other family's condition scan
+ALIASES = {
+    "starlike_invariant": "evaluate_invariant", "generalized_invariant": "evaluate_invariant",
+    "starlike_profile": "invariant_profile", "generalized_profile": "invariant_profile",
+    "generalized_census": "starlike_census",
+    "check_generalized_conditions": "check_starlike_conditions",
+}
+
+
+def test_the_argument_table_covers_every_public_callable_that_takes_one():
+    open_names = {name for table in ARGUMENTS.values() for name in table}
+    takes = set()
+    for name in pathseq.__all__:
+        # the value types (Graph, Census and the reports) are built unchecked
+        value = getattr(pathseq, name)
+        if inspect.isfunction(value) or name in ("StarlikeSpec", "GenStarlikeSpec"):
+            if open_names & set(inspect.signature(value).parameters):
+                takes.add(name)
+    assert takes == set(ARGUMENTS) | set(ALIASES)
+
+
+_NOT_A_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.complex_numbers(allow_nan=False),
+                          st.decimals(allow_nan=False), st.just([1]), st.just(True))
+
+
+def _wrong(least):
+    """Values a parameter refuses: for an int, any float, bool or non-number
+    and the ints below its least; for a tolerance, any value that is not a
+    real number in [0, 1)."""
+    if least == "tol":
+        outside = st.floats().filter(lambda t: not 0 <= t < 1)
+        return st.one_of(outside, st.integers().filter(lambda t: t != 0), _NOT_A_NUMBER)
+    below = [] if least is None else [st.integers(max_value=least - 1)]
+    return st.one_of(*below, st.floats(), st.fractions(), st.booleans(), _NOT_A_NUMBER)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_a_wrong_size_order_degree_budget_or_tolerance_is_a_value_error(data):
+    callable_name = data.draw(st.sampled_from(sorted(ARGUMENTS) + sorted(ALIASES)))
+    table = ARGUMENTS[ALIASES.get(callable_name, callable_name)]
+    least, args = table[data.draw(st.sampled_from(sorted(table)))]
+    value = data.draw(_wrong(least))
+    call = getattr(pathseq, callable_name)
+    try:
+        result = call(*args(value))
+        if inspect.isgenerator(result):
+            list(result)
+    except (ValueError, PathseqError):
+        return
+    raise AssertionError(f"{callable_name}{args(value)!r} answered")
 
 
 # --- CLI output and the public names --------------------------------------

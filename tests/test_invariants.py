@@ -12,15 +12,19 @@ from pathseq import (
     InvariantFunction,
     PathseqError,
     SymmetryError,
+    StarlikeSpec,
     UnknownIndexError,
+    build_graph,
     builtin,
     evaluate_invariant,
     invariant_from_census,
     invariant_profile,
+    mu_row,
     register_invariant,
     resolve_index,
     validate_symmetry,
 )
+from pathseq.invariants import _registry
 
 BUILTIN_NAMES = ("connectivity", "sum-connectivity", "hyper-zagreb", "path-count")
 
@@ -81,6 +85,28 @@ def test_register_and_resolve_custom_index():
 def test_register_rejects_reserved_names():
     with pytest.raises(ValueError):
         register_invariant("connectivity", lambda d: 1.0)
+
+
+def test_register_rejects_an_index_that_is_not_callable():
+    with pytest.raises(ValueError, match=r"^index function for 'zz' must be callable, got 3$"):
+        register_invariant("zz", 3)
+
+
+@pytest.mark.parametrize("value", ["s", None, [1.0]], ids=["str", "none", "list"])
+def test_an_index_value_that_is_not_a_number_is_an_index_evaluation_error(value):
+    f = InvariantFunction("odd", lambda d: value)
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    calls = [
+        lambda: register_invariant("odd", f.fn),
+        lambda: invariant_profile(graph, f, 3),
+        lambda: invariant_profile(StarlikeSpec.from_counts({1: 2, 2: 1}), f, 3),
+        lambda: mu_row(f, 2, [3, 4]),
+    ]
+    for call in calls:
+        with pytest.raises(IndexEvaluationError) as exc:
+            call()
+        assert isinstance(exc.value.__cause__, TypeError)
+    assert "odd" not in _registry
 
 
 def test_register_rejects_asymmetric_function():

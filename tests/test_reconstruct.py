@@ -1,6 +1,7 @@
 import math
 import time
 from collections import Counter, defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -359,6 +360,18 @@ def test_library_tolerances_take_the_cli_range(tol):
         reconstruct_generalized(g.vertex_count, g.max_degree, g_profile, CONN, tol)
     with pytest.raises(ValueError, match=match):
         distinguish(a, b, CONN, tol)
+
+
+@pytest.mark.parametrize("entry", [int, float, Fraction])
+def test_profile_entries_may_be_any_real_number(entry):
+    # hyper-zagreb's values on a starlike tree are exact integers, so each
+    # entry type holds the same numbers
+    spec = StarlikeSpec.from_counts({1: 3, 5: 1})
+    f = builtin("hyper-zagreb")
+    profile = starlike_profile(spec, f, spec.longest_path_length)
+    want = reconstruct_starlike(spec.vertex_count, profile, f)
+    got = reconstruct_starlike(spec.vertex_count, [entry(v) for v in profile], f)
+    assert got == want and got.spec == spec
 
 
 def test_distinguish_reports_first_separating_order():
