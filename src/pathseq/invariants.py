@@ -90,11 +90,41 @@ def _path_count(d: tuple[int, ...]) -> float:
     return 1.0
 
 
+def _pow_past_floats(p: int, alpha: float) -> float:
+    """p ** alpha for an int p too large for a float and alpha < 1.
+
+    With q = p >> k, p's top 64 bits, and k * alpha = n + r exactly (n an
+    int, 0 <= r < 1), it is q ** alpha * 2 ** r * 2 ** n. p / 2**k is within
+    2**-63 of q, and float(q), r, the two pows and their product each round
+    once, so the relative error is at most 3u plus twice pow's own (u =
+    2**-53) while the result is normal, which needs |alpha| < 1. A result
+    past the largest float raises OverflowError. For alpha < 0, q ** alpha
+    <= 1, so from n < -1076 on p ** alpha < 2**-1076 rounds to 0.0, which
+    is returned without a pow."""
+    k = p.bit_length() - 64
+    a, b = alpha.as_integer_ratio()
+    n, r = divmod(k * a, b)
+    return 0.0 if n < -1076 else math.ldexp(float(p >> k) ** alpha * 2.0 ** (r / b), n)
+
+
 def _power_form(alpha: float) -> Callable[[int, int], float]:
     """power:alpha over a degree product p and sum s. Every power built-in's
-    form is made here, so all share one code object, by which
-    reconstruct._rows_b tells them from a lookalike form."""
-    return lambda p, s: p**alpha
+    form, and through it its tuple function, is made here, so all share one
+    code object, by which reconstruct._rows_b tells them from a lookalike
+    form. A p that fits a float gives pow's value; past the float range
+    (from 2**1024) a finite p ** alpha, which needs alpha < 1, comes from
+    _pow_past_floats."""
+
+    def power(p: int, s: int = 0) -> float:
+        try:
+            return p**alpha
+        except OverflowError:
+            # for alpha < 1 a p that fits gives a finite power: p is too large
+            if alpha >= 1:
+                raise
+            return _pow_past_floats(p, alpha)
+
+    return power
 
 
 # Each built-in over a degree tuple, and over its (product, sum). The tuple
@@ -126,10 +156,8 @@ def builtin(name: str, param: float | None = None) -> InvariantFunction:
         if not math.isfinite(alpha):
             raise UnknownIndexError(f"index 'power' needs a finite exponent, got {param!r}")
 
-        def _power(d: tuple[int, ...], _a: float = alpha) -> float:
-            return math.prod(d) ** _a
-
-        return InvariantFunction(f"power:{alpha}", _power, _power_form(alpha))
+        form = _power_form(alpha)
+        return InvariantFunction(f"power:{alpha}", lambda d: form(math.prod(d)), form)
     raise UnknownIndexError(f"unknown index {name!r}")
 
 
@@ -152,6 +180,9 @@ def validate_symmetry(fn: Callable[[tuple[int, ...]], float], rng: random.Random
         seq = tuple(rng.randint(1, 64) for _ in range(length))
         try:
             a, b = fn(seq), fn(seq[::-1])
+            for v in (a, b):
+                if not isinstance(v, Real):
+                    raise TypeError(f"{v!r} is not a real number")
             if abs(a - b) > SYMMETRY_REL_TOL * max(1.0, abs(a), abs(b)):
                 raise SymmetryError(
                     f"f{seq} = {a!r} but f{seq[::-1]} = {b!r}; index functions must be"

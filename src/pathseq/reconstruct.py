@@ -15,7 +15,7 @@ from itertools import combinations, pairwise, repeat
 from math import inf, ldexp, perm
 from numbers import Real
 from operator import ge, sub
-from typing import Iterator, NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from .errors import (
     AmbiguousRootError,
@@ -37,8 +37,9 @@ from .invariants import (
     _first_difference,
     _power_form,
 )
-from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point
-from .starlike import mu_coefficient, mu_row
+from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient
+# every root degree read here is 3 or more by construction, so rows skip the check
+from .starlike import _mu_row as mu_row
 
 # how far a recovered branch count may sit from an integer
 BRANCH_RESIDUAL_TOL = 1e-6
@@ -167,14 +168,15 @@ def _check_conditions(
     _check_tol(tol)
     _need_int("x_max", x_max, 4)
     _need_int("t_max", t_max, 0)
+    roots = list(_order0_points(x_max + 1))
     if family == "starlike":
-        g = {m: f((m,)) for m in _order0_points(x_max + 1)}
-        witness_a, min_a = _condition_a(g, f((2,)) - f((1,)), tol)
+        *v, v2, v1 = _order0_values(f, roots + [2, 1])
+        witness_a, min_a = _condition_a(dict(zip(roots, v)), v2 - v1, tol)
     else:
         # a hub of degree x_max + 3 on x_max + 4 vertices takes clique sizes 3..x_max + 1
-        g = {n1 - 1: (n1 - 1) * f((n1 - 1,)) for n1 in _order0_points(x_max + 4, x_max + 3)}
-        witness_a, min_a = _condition_a(g, f((1,)), tol)
-    roots = list(_order0_points(x_max + 1))
+        cs = [n1 - 1 for n1 in _order0_points(x_max + 4, x_max + 3)]
+        *v, v1 = _order0_values(f, cs + [1])
+        witness_a, min_a = _condition_a({c: c * w for c, w in zip(cs, v)}, v1, tol)
     witness_b, min_b = None, float("inf")
     for t, (row, low, finite, k) in enumerate(_rows_b(f, roots, t_max)):
         low = ldexp(low, k)
@@ -185,8 +187,65 @@ def _check_conditions(
     return ConditionReport(family, x_max, t_max, tol, *ok, witness_a, witness_b, min_a, min_b)
 
 
+def _order0_values(f: InvariantFunction, degrees: list[int]) -> list[float]:
+    """f((d,)) for each d in degrees, in order. A form reads multiset(d, d),
+    which is f((d,)) bit for bit, errors included, and names a failure as
+    f's call would."""
+    g = f.multiset
+    if g is None:
+        return [f((d,)) for d in degrees]
+    try:
+        return list(map(g, degrees, degrees))
+    except ArithmeticError as exc:
+        raise IndexEvaluationError(f"index {f.name!r} at order 0: {exc}") from exc
+
+
 _SCALED = {"connectivity": (2, -1, 1800), "hyper-zagreb": (1, 2, 511), "path-count": (1, 0, inf)}
 _POWER_CODE = _power_form(0.0).__code__
+# where _power_rows takes a power's values: a factor of 2 inside the normal floats
+_NORMAL = (2.0**-1021, 2.0**1023)
+
+
+def _least_at_3(v2: float, v3: float, v4: float) -> bool:
+    """Whether r2 = 2**alpha, r3 = 3**alpha and r4 = 4**alpha, each within
+    relative e = 2**-40 of the normal floats v2, v3 and v4, must meet
+    |1 - r2| |r4 - r3| >= (3u |1 - r2| + 2e (1 + r2)) (r4 + r3 + 2 r2), u =
+    2**-53: the left side at its least and the right at its most over those
+    ranges, in exact integers (units of 2**-1114). In _rows_b's terms, over
+    A, (M(4) - err(4))(1 - u) - (M(3) + err(3))(1 + u) is at least the left
+    side less (u |1 - r2| + c (1 + u))(r4 + r3 + 2 r2), as |r4 - r2| - |r3 -
+    r2| = |r4 - r3|, and u |1 - r2| + c (1 + u) <= 3u |1 - r2| + 2e (1 + r2)."""
+    if not all(_NORMAL[0] <= v <= _NORMAL[1] for v in (v2, v3, v4)):
+        return False
+    one = 1 << 1114
+    (lo2, hi2), (lo3, hi3), (lo4, hi4) = [((d << 40) - d, (d << 40) + d)
+                                          for d in map(_fixed, (v2, v3, v4))]
+    gap = max(lo2 - one, one - hi2, 0) * max(lo4 - hi3, lo3 - hi4, 0)
+    wide = max(hi2 - one, one - lo2)
+    return gap << 93 >= ((3 * wide << 40) + (2 * (one + hi2) << 53)) * (hi4 + hi3 + 2 * hi2)
+
+
+def _power_rows(
+    g: Callable[[int, int], float], x_max: int, t_max: int
+) -> Generator[tuple, None, int]:
+    """_rows_b's rows [m(3)] of a power form g from depth 0, while
+    _least_at_3 holds and each depth's values lie in _NORMAL; returns the
+    first depth it does not yield, at which g raised or left that range."""
+    t = 0
+    try:
+        a2, a3 = g(2, 0), g(3, 0)
+        if not _least_at_3(a2, a3, g(4, 0)):
+            return 0
+        while t <= t_max:
+            # g(2 << t) and g(x_max << (t + 1)) are the ends of the depth's values
+            b2, b3, top = g(4 << t, 0), g(6 << t, 0), g(x_max << t + 1, 0)
+            if not (_NORMAL[0] <= a2 <= _NORMAL[1] and _NORMAL[0] <= top <= _NORMAL[1]):
+                break
+            yield *_margins([a3 - b3 - (a2 - b2)]), 0
+            a2, a3, t = b2, b3, t + 1
+    except ArithmeticError:
+        pass  # the rolling array meets the error at depth t
+    return t
 
 
 def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tuple]:
@@ -207,11 +266,29 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     a scan can reach), so it scales alike. So every value scales by 2**e each
     j depths, exactly, while x_max << (t + 1) < 2**bits: then 1 / sqrt(p) >
     2**-900 and p * p < 2**1022, so each value is finite, and 0 or above
-    2**-968. Beyond, and for power at every depth (its pow is not correctly
-    rounded), g reads the product alone: each depth keeps g(x << t) for x =
-    2..x_max, so the next evaluates g only at x > x_max // 2, and its rows
-    are mu_row's floats in its order. From the first depth at which g
-    raises, and for other f, rows come from mu_row, which raises as before."""
+    2**-968.
+
+    power:alpha's pow is not correctly rounded, so its rows do not scale, but
+    mu_(t+1)(x) = A (1 - r2)(x**alpha - r2) exactly, A = 2**(t alpha) and r2
+    = 2**alpha. Assume pow is within relative 2**-42 of the exact power
+    wherever either is normal (a libm pow within one ulp is within 2**-52).
+    Then each g(x << t) is within e = 2**-40 of (x << t)**alpha while normal
+    (x << t converts exactly, x < 2**53; past 2**1024 see
+    invariants._pow_past_floats), and a row's subtractions round by at most
+    u = 2**-53 each. So the computed margin m(x) lies between (1 - u)(M(x) -
+    err(x)) and (1 + u)(M(x) + err(x)), M(x) = |mu_(t+1)(x)|, err(x) = A c
+    (x**alpha + r2) and c = (1 + r2) e (1 + u) + |1 - r2| u. M(x) - err(x)
+    increases with x for either sign of alpha (given |1 - r2| > c), so m(x)
+    >= m(3) at every x >= 4 once (M(4) - err(4))(1 - u) >= (M(3) + err(3))(1
+    + u). A cancels, and _least_at_3 checks what implies it, once. Then,
+    while a depth's values, from g(2 << t) to g(x_max << (t + 1)), lie in
+    _NORMAL, its row is the prefix [m(3)], from _power_rows. From the first
+    depth where this is not shown, and for connectivity and hyper-zagreb
+    past their scaled rows, g reads the product alone: each depth keeps g(x
+    << t) for x = 2..x_max, so the next evaluates g only at x > x_max // 2,
+    and its rows are mu_row's floats in its order. From the first depth at
+    which g raises, and for other f, rows come from mu_row, which raises as
+    before."""
     g = f.multiset
     own = next((name for name, (_, form) in _SIMPLE_BUILTINS.items() if form is g), None)
     if own == "sum-connectivity":
@@ -230,7 +307,10 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     for t in range(last + 1):
         yield *base[t % j], e * (t // j)
     t = max(last + 1, 0)
-    if t <= t_max and (own or getattr(g, "__code__", None) is _POWER_CODE):
+    power = getattr(g, "__code__", None) is _POWER_CODE
+    if power:
+        t = yield from _power_rows(g, roots[-1], t_max)
+    if t <= t_max and (own or power):
         # a[x - 2] = g(x << t) for x = 2..x_max; at depth t + 1, a[x - 2] is
         # this depth's a[2x - 2] for 2x <= x_max, so only the larger x are new
         x_max = roots[-1]
@@ -329,6 +409,10 @@ def _reconstruct(
     if not points:
         hub = "" if r is None else f" and hub degree {r}"
         raise NoCandidateRootError(f"no {family} tree has {n} vertices{hub}")
+    try:
+        profile = list(profile)
+    except TypeError:
+        raise ValueError(f"profile must be a sequence of real numbers; got {profile!r}") from None
     if not profile:
         raise BudgetMismatchError("profile is empty")
     if wrong := [v for v in profile if not isinstance(v, Real)]:
@@ -416,7 +500,8 @@ def reconstruct_starlike(
     The profile must cover orders 0..h_max with h_max at least the longest
     branch length. Raises a ReconstructionError subclass rather than ever
     returning a spec that does not reproduce the input, and ValueError unless
-    0 <= tol < 1, the vertex count is an int and the profile entries are reals.
+    0 <= tol < 1, the vertex count is an int and the profile is a sequence of
+    reals.
     """
     return _reconstruct(vertex_count, None, profile, f, tol)
 

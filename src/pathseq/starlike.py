@@ -156,7 +156,9 @@ class StarlikeSpec:
 
     def censuses(self, max_order: int, budget: int = DEFAULT_BUDGET) -> Iterator[Census]:
         """Closed-form censuses of orders 0..min(max_order, longest path),
-        built one at a time as they are consumed."""
+        built one at a time as they are consumed; ValueError unless max_order
+        >= 0 is an int."""
+        _need_int("max_order", max_order, 0)
         point = _point(self, min(max_order, self.longest_path_length))
         return (_census(h, point) for h in range(len(point[4])))
 
@@ -170,7 +172,9 @@ class StarlikeSpec:
 
     def values(self, f: InvariantFunction, max_order: int) -> Iterator[float]:
         """The invariants of orders 0..min(max_order, longest path),
-        evaluated one at a time as they are consumed."""
+        evaluated one at a time as they are consumed; ValueError unless
+        max_order >= 0 is an int."""
+        _need_int("max_order", max_order, 0)
         point = _point(self, min(max_order, self.longest_path_length))
         return (_evaluate(point, h, f, True) for h in range(len(point[4])))
 
@@ -409,7 +413,17 @@ starlike_profile = generalized_profile = invariant_profile
 
 
 def mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]:
-    """mu_coefficient(f, h, x) for each root degree x in degrees.
+    """mu_coefficient(f, h, x) for each root degree x in degrees; ValueError
+    unless h >= 1 and each x >= 3 is an int, as mu_coefficient checks them."""
+    degrees = list(degrees)
+    for x in degrees:
+        _need_int("root degree", x, 3)
+    return _mu_row(f, h, degrees)
+
+
+def _mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]:
+    """mu_row without the check of each degree, for callers whose degrees are
+    3 and up by construction (the condition scans and the survey proof).
 
     The classes after degree x are a leaf sequence (x, 2, ..., 2, 1) of
     degree product x << (h - 1) and sum x + 2h - 1, and an inner one (x, 2,
@@ -442,7 +456,7 @@ def mu_coefficient(f: InvariantFunction, h: int, m: int) -> float:
     swap after degree 2, the margin of condition (b) at t = h - 1.
     """
     _need_int("root degree", m, 3)
-    return mu_row(f, h, (m,))[0]
+    return _mu_row(f, h, (m,))[0]
 
 
 def tail_coefficients(

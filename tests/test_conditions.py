@@ -6,6 +6,7 @@ the built-in indices."""
 import json
 import math
 import os
+import sys
 from math import ldexp
 
 import pytest
@@ -204,14 +205,18 @@ BUILT_INS = ("connectivity", "sum-connectivity", "hyper-zagreb", "path-count")
 @st.composite
 def condition_b_cases(draw):
     """(f, family, x_max, t_max, tol): a built-in, a power of random
-    exponent, or a registered index without a product-sum form."""
+    exponent, or a registered index without a product-sum form. Exponents
+    near 0 (down to 1e-300) leave |1 - 2**alpha| too small for the power
+    route, and those up to 60 in size under- or overflow inside t_max."""
     name = draw(st.sampled_from(BUILT_INS + ("power",) + tuple(TUPLE_ONLY)))
     if name == "power":
-        f = builtin("power", draw(st.floats(-3, 3)))
+        tiny = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([-1, 1]),
+                         st.floats(-300, -3))
+        f = builtin("power", draw(st.one_of(st.floats(-3, 3), st.floats(-60, 60), tiny)))
     else:
         f = TUPLE_ONLY.get(name) or builtin(name)
     tol = draw(st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0, 1, exclude_max=True)))
-    return (f, draw(st.sampled_from(sorted(CHECKS))), draw(st.integers(4, 300)),
+    return (f, draw(st.sampled_from(sorted(CHECKS))), draw(st.integers(4, 600)),
             draw(st.integers(0, 60)), tol)
 
 
@@ -235,11 +240,20 @@ def condition_b_cases(draw):
 @example((builtin("path-count"), "generalized", 4, 2000, 0.0))
 @example((builtin("sum-connectivity"), "starlike", 4, 2000, 1e-9))
 @example((builtin("sum-connectivity"), "generalized", 7, 2000, 0.0))
-# power's products pass the largest float: 4 << 1022 raises at order 1022,
-# and 8 << 1021 at order 1021, from the rolling array and from mu_row alike
+# power's products pass the largest float near order 1021, and a power
+# below 1 reads on from their top bits. power:-1's values leave the normal
+# range at depth 1017, where its rows pass from root degree 3 alone to the
+# rolling array; the other two keep to degree 3 throughout.
 @example((builtin("power", 0.5), "starlike", 7, 1021, 1e-9))
 @example((builtin("power", -1.0), "generalized", 9, 1020, 0.0))
 @example((builtin("power", -0.5), "starlike", 5, 1019, 0.3))
+# power:-60's values leave the normal range at depth 7; at -66 and 1e-300
+# degree 3 alone is not shown to hold the least margin; power:60 overflows
+# at order 8
+@example((builtin("power", -60.0), "starlike", 600, 60, 1e-9))
+@example((builtin("power", -66.0), "generalized", 600, 60, 0.0))
+@example((builtin("power", 1e-300), "starlike", 600, 60, 0.0))
+@example((builtin("power", 60.0), "generalized", 600, 60, 1e-9))
 def test_condition_b_equals_the_scan_of_every_degree_tuple(case):
     f, family, x_max, t_max, tol = case
 
@@ -309,8 +323,9 @@ def test_built_in_rows_scale_or_shift_exactly_up_to_the_first_error(name, x_max)
     # Depth 1030, and 1850 for connectivity, whose products pass the float
     # range near depth 1020 and whose exact rows end before 1800, is past the
     # end of every exact range; a row shorter than mu_row's is a prefix,
-    # which holds the least margin. Every power raises before depth 1030,
-    # where a product or its power passes the largest float.
+    # which holds the least margin. power:2 and power:3.7 raise before depth
+    # 1030, where a power passes the largest float; the powers below 1 read
+    # on past it, from their products' top bits.
     f, roots = resolve_index(name), list(range(3, x_max + 1))
     depth = 1850 if name == "connectivity" else 1030
     want, got = _scan_rows(f, roots, depth), []
@@ -351,6 +366,48 @@ def test_condition_b_reads_one_period_of_rows_for_the_built_ins(monkeypatch, fam
     depths = _counted_rows(monkeypatch)
     CHECKS[family](f, 64, t_max)
     assert depths == list(range(rows))
+
+
+def _form_calls(f, call):
+    """How many times call evaluates f's product-sum form."""
+    code, calls = f.multiset.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(1)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return len(calls)
+
+
+@pytest.mark.parametrize("family", sorted(CHECKS))
+@pytest.mark.parametrize("name", ["power:0.5", "power:-0.5", "power:2"])
+def test_a_power_scan_evaluates_its_form_a_few_times_a_depth(family, name):
+    # Condition (a) reads x_max values and each depth of (b) three, where the
+    # rolling array read about 256 a depth (power:0.5: 257,000 in all). power:2
+    # raises at order 503; its (b) takes two depths of the rolling array.
+    f = resolve_index(name)
+    calls = _form_calls(f, lambda: _outcome(CHECKS[family], f, 512, 1000))
+    assert calls <= 512 + 3 * (1000 + 1) + 3 + (2 * 512 if name == "power:2" else 0)
+
+
+@pytest.mark.parametrize(
+    "name, x_max, t_max, width_1",
+    [("power:0.5", 512, 1000, 1001), ("power:-0.5", 512, 2048, 2033), ("power:-1", 512, 2048, 1012),
+     ("power:-1", 5, 1030, 1018), ("power:3.7", 64, 200, 201), ("power:-60", 600, 60, 7),
+     ("power:-66", 600, 60, 0), ("power:1e-12", 64, 40, 0), ("power:0.0", 64, 40, 0)],
+)
+def test_power_rows_hold_one_margin_until_the_route_cannot_be_shown(name, x_max, t_max, width_1):
+    # From the first depth whose values leave the normal range, or from
+    # depth 0 where |1 - 2**alpha| is too small or 3**alpha and 4**alpha too
+    # close, every row is whole.
+    f = resolve_index(name)
+    rows = [len(row) for row, *_ in _rows_b(f, list(range(3, x_max + 1)), t_max)]
+    assert rows == [1] * width_1 + [x_max - 2] * (t_max + 1 - width_1)
 
 
 CONNECTIVITY, POWER = builtin("connectivity"), builtin("power", 0.5)

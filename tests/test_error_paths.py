@@ -314,11 +314,22 @@ def test_a_slice_that_is_not_an_int_is_a_value_error(call):
         (lambda: STAR.census(2.5), f"order must be >= 0 and {AN_INT}; got 2.5"),
         (lambda: PATH4.census(2.5), f"order must be >= 0 and {AN_INT}; got 2.5"),
         (lambda: STAR.value(2.5, CONN), f"order must be >= 0 and {AN_INT}; got 2.5"),
+        # these raised a bare TypeError
+        (lambda: STAR.values(CONN, 2.5), f"max_order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: STAR.censuses(2.5), f"max_order must be >= 0 and {AN_INT}; got 2.5"),
+        (lambda: reconstruct_starlike(5, 5, CONN),
+         "profile must be a sequence of real numbers; got 5"),
+        # the first blamed the index, and the other two answered
+        (lambda: mu_row(CONN, 2, [3, 2.5]), f"root degree must be >= 3 and {AN_INT}; got 2.5"),
+        (lambda: mu_row(CONN, 2, [1]), f"root degree must be >= 3 and {AN_INT}; got 1"),
+        (lambda: mu_row(CONN, 2, (x for x in [True])),
+         f"root degree must be >= 3 and {AN_INT}; got True"),
     ],
     ids=["starlike-profile", "evaluate-invariant", "census-series", "census-series-budget",
          "mu-coefficient", "tail-coefficients", "build-graph", "profile-str", "profile-none",
          "distinguish-tol", "conditions-tol", "conditions-bool", "enumerate-paths",
-         "spec-census", "graph-census", "spec-value"],
+         "spec-census", "graph-census", "spec-value", "spec-values", "spec-censuses",
+         "profile-int", "mu-row-float", "mu-row-below-3", "mu-row-bool"],
 )
 def test_a_wrong_argument_is_a_value_error_stating_the_rule(call, message):
     with pytest.raises(ValueError) as exc:

@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +14,7 @@ from pathseq import (
     PathseqError,
     SymmetryError,
     StarlikeSpec,
+    starlike_profile,
     UnknownIndexError,
     build_graph,
     builtin,
@@ -109,6 +111,18 @@ def test_an_index_value_that_is_not_a_number_is_an_index_evaluation_error(value)
     assert "odd" not in _registry
 
 
+@pytest.mark.parametrize("value", [1j, complex(2.0, 0.0)], ids=["imaginary", "real-part-only"])
+def test_an_index_with_complex_values_is_refused_at_registration(value):
+    # the symmetry draw let complex values through, and invariant_profile
+    # refused them only later, from fsum
+    with pytest.raises(IndexEvaluationError, match=r"is not a real number$") as exc:
+        register_invariant("cx", lambda d: value)
+    assert isinstance(exc.value.__cause__, TypeError)
+    assert "cx" not in _registry
+    with pytest.raises(IndexEvaluationError, match=r"^index function at \("):
+        validate_symmetry(lambda d: value, random.Random(0))
+
+
 def test_register_rejects_asymmetric_function():
     with pytest.raises(SymmetryError):
         register_invariant("first", lambda d: float(d[0]))
@@ -201,3 +215,57 @@ def test_product_sum_form_is_the_tuple_form_bit_for_bit(name, seq):
             return str(exc)
 
     assert outcome(product_sum) == outcome(f)
+
+
+POWER_PAST_FLOATS = [-0.999, -0.5, -1e-12, 1e-300, 0.25, 0.5, 0.999, -1.5, 1.0, 3.7]
+
+
+@pytest.mark.parametrize("alpha", POWER_PAST_FLOATS)
+@pytest.mark.parametrize("p", [2**1024, 2**1024 + 1, 3**700 + 5, 7 * 2**1100 - 1, 2**4000 // 3],
+                         ids=["2^1024", "2^1024+1", "3^700", "7*2^1100", "2^4000/3"])
+def test_power_past_the_float_range_is_within_its_rounding_bound(alpha, p):
+    # Every power raised "int too large to convert to float" here. Below 1
+    # a finite power now comes from the product's top 64 bits, within 3u
+    # plus twice pow's own error of the 50-digit value (8u allows pow one
+    # ulp); one past the largest float, and any power >= 1, still raises.
+    f = builtin("power", alpha)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        exact = Decimal(p) ** Decimal(alpha)
+        try:
+            got = f.multiset(p, 0)
+        except OverflowError:
+            assert alpha >= 1 or exact >= 2**1024
+            with pytest.raises(IndexEvaluationError, match=r"^index 'power:.*' at order 0: "):
+                f((p,))
+            return
+        assert alpha < 1 and exact < 2**1024
+        assert abs(Decimal(got) - exact) <= max(exact * 8 * Decimal(2) ** -53, Decimal(2) ** -1074)
+    assert f((p,)).hex() == got.hex()
+    assert f((p // 2, 2, 1)).hex() == f.multiset(p // 2 * 2, 0).hex()
+
+
+@pytest.mark.parametrize("alpha", POWER_PAST_FLOATS)
+def test_power_keeps_its_bits_where_the_product_fits(alpha):
+    f = builtin("power", alpha)
+    for p in (1, 2, 3, 2**53 + 1, 2**1000 + 3**100, 2**1024 - 2**970 - 1):
+        try:
+            want = (p**alpha).hex()
+        except OverflowError as exc:
+            want = str(exc)
+        try:
+            got = f.multiset(p, 0).hex()
+        except OverflowError as exc:
+            got = str(exc)
+        assert got == want
+
+
+def test_power_minus_half_profile_reads_on_past_the_float_range():
+    # It raised IndexEvaluationError at order 1022, where connectivity, the
+    # same index, returns 3.4e-164 at order 1100.
+    spec = StarlikeSpec.from_counts({1: 1, 300: 2, 600: 3})
+    got = starlike_profile(spec, resolve_index("power:-0.5"), 1200)
+    want = starlike_profile(spec, builtin("connectivity"), 1200)
+    assert len(got) == 1201 and got[1200] > 0.0
+    assert all(abs(a - b) <= 1e-14 * b for a, b in zip(got, want))
+    assert got[1100] == pytest.approx(3.3838963338945713e-164, rel=1e-14)
