@@ -170,6 +170,13 @@ SYMMETRY_MAX_LENGTH = 9
 SYMMETRY_REL_TOL = 1e-12
 
 
+def _real(v: float) -> float:
+    """v, unless it is not a real number: then the TypeError that fsum raises."""
+    if type(v) is float or isinstance(v, Real):
+        return v
+    raise TypeError(f"must be real number, not {type(v).__name__}")
+
+
 def validate_symmetry(fn: Callable[[tuple[int, ...]], float], rng: random.Random) -> None:
     """Spot-check reversal symmetry on random degree sequences.
 

@@ -12,7 +12,7 @@ profile reproduces the input within tolerance.
 from __future__ import annotations
 
 from itertools import combinations, pairwise, repeat
-from math import inf, ldexp, perm
+from math import inf, perm
 from numbers import Real
 from operator import ge, sub
 from typing import Callable, Generator, Iterator, NamedTuple
@@ -36,6 +36,7 @@ from .invariants import (
     _close,
     _first_difference,
     _power_form,
+    _real,
 )
 from .starlike import GenStarlikeSpec, StarlikeSpec, _evaluate, _point, mu_coefficient
 # every root degree read here is 3 or more by construction, so rows skip the check
@@ -178,29 +179,26 @@ def _check_conditions(
         *v, v1 = _order0_values(f, cs + [1])
         witness_a, min_a = _condition_a({c: c * w for c, w in zip(cs, v)}, v1, tol)
     witness_b, min_b = None, float("inf")
-    for t, (row, low, finite, k) in enumerate(_rows_b(f, roots, t_max)):
-        low = ldexp(low, k)
+    for t, (row, low, finite) in enumerate(_rows_b(f, roots, t_max)):
         min_b = min(min_b, low)
         if witness_b is None and not (low > tol and finite):
-            witness_b = next(((t, x) for x, m in zip(roots, row) if not ldexp(m, k) > tol), None)
+            witness_b = next(((t, x) for x, m in zip(roots, row) if not m > tol), None)
     ok = (witness_a is None, witness_b is None)
     return ConditionReport(family, x_max, t_max, tol, *ok, witness_a, witness_b, min_a, min_b)
 
 
 def _order0_values(f: InvariantFunction, degrees: list[int]) -> list[float]:
     """f((d,)) for each d in degrees, in order. A form reads multiset(d, d),
-    which is f((d,)) bit for bit, errors included, and names a failure as
-    f's call would."""
+    which is f((d,)) bit for bit, errors included. An arithmetic failure, or a
+    value that is not a real number, is named as f's call names a failure."""
     g = f.multiset
-    if g is None:
-        return [f((d,)) for d in degrees]
     try:
-        return list(map(g, degrees, degrees))
-    except ArithmeticError as exc:
+        values = [f.fn((d,)) for d in degrees] if g is None else map(g, degrees, degrees)
+        return list(map(_real, values))
+    except (ArithmeticError, TypeError) as exc:
         raise IndexEvaluationError(f"index {f.name!r} at order 0: {exc}") from exc
 
 
-_SCALED = {"connectivity": (2, -1, 1800), "hyper-zagreb": (1, 2, 511), "path-count": (1, 0, inf)}
 _POWER_CODE = _power_form(0.0).__code__
 # where _power_rows takes a power's values: a factor of 2 inside the normal floats
 _NORMAL = (2.0**-1021, 2.0**1023)
@@ -241,7 +239,9 @@ def _power_rows(
             b2, b3, top = g(4 << t, 0), g(6 << t, 0), g(x_max << t + 1, 0)
             if not (_NORMAL[0] <= a2 <= _NORMAL[1] and _NORMAL[0] <= top <= _NORMAL[1]):
                 break
-            yield *_margins([a3 - b3 - (a2 - b2)]), 0
+            # the values are finite, so the margin is no NaN
+            m = abs(a3 - b3 - (a2 - b2))
+            yield [m], m, True
             a2, a3, t = b2, b3, t + 1
     except ArithmeticError:
         pass  # the rolling array meets the error at depth t
@@ -249,46 +249,38 @@ def _power_rows(
 
 
 def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tuple]:
-    """(row, low, finite, k) for each depth t <= t_max: |mu_row(f, t + 1, roots)|,
-    or a prefix holding its least and first failure, is row times 2**k, bit for
-    bit; low is row's least non-NaN value, finite False if one is NaN. roots
-    are the degrees 3..x_max.
+    """(row, low, finite) for each depth t <= t_max: |mu_row(f, t + 1, roots)|,
+    or a prefix holding its least and first failure, bit for bit; low is
+    row's least non-NaN value, finite False if one is NaN. roots are the
+    degrees 3..x_max.
 
     Sum-connectivity reads degree sums s only: its rows are the same float
     subtractions from D[s] = psi(s) - psi(s + 1), tabled for x_max - 2 depths
     at a time to keep memory O(x_max). Rounding is monotone, so where D is
-    nonincreasing, a row's first margin is its least and first failure. For
-    name: (j, e, bits) in _SCALED, each product p = x << t that mu_row reads
-    doubles with t; float(p), 1 / sqrt(p), p * p and the row's subtractions
-    are correctly rounded, and scaling by a power of two commutes with correct
-    rounding of normal floats. Past the float range, connectivity's 1 / sqrt(p)
-    reads q = p >> 2k, which is x << (t - 2k) exactly for x < 2**64 (any x_max
-    a scan can reach), so it scales alike. So every value scales by 2**e each
-    j depths, exactly, while x_max << (t + 1) < 2**bits: then 1 / sqrt(p) >
-    2**-900 and p * p < 2**1022, so each value is finite, and 0 or above
-    2**-968.
+    nonincreasing, a row's first margin is its least and first failure.
+    Path-count's form is the constant 1.0, so every row is depth 0's zeros.
 
-    power:alpha's pow is not correctly rounded, so its rows do not scale, but
+    Connectivity, hyper-zagreb and power:alpha are p**alpha of the degree
+    product p (alpha = -1/2 and 2 for the first two), computed as g(p), so
     mu_(t+1)(x) = A (1 - r2)(x**alpha - r2) exactly, A = 2**(t alpha) and r2
-    = 2**alpha. Assume pow is within relative 2**-42 of the exact power
-    wherever either is normal (a libm pow within one ulp is within 2**-52).
-    Then each g(x << t) is within e = 2**-40 of (x << t)**alpha while normal
-    (x << t converts exactly, x < 2**53; past 2**1024 see
-    invariants._pow_past_floats), and a row's subtractions round by at most
-    u = 2**-53 each. So the computed margin m(x) lies between (1 - u)(M(x) -
-    err(x)) and (1 + u)(M(x) + err(x)), M(x) = |mu_(t+1)(x)|, err(x) = A c
-    (x**alpha + r2) and c = (1 + r2) e (1 + u) + |1 - r2| u. M(x) - err(x)
-    increases with x for either sign of alpha (given |1 - r2| > c), so m(x)
-    >= m(3) at every x >= 4 once (M(4) - err(4))(1 - u) >= (M(3) + err(3))(1
-    + u). A cancels, and _least_at_3 checks what implies it, once. Then,
-    while a depth's values, from g(2 << t) to g(x_max << (t + 1)), lie in
-    _NORMAL, its row is the prefix [m(3)], from _power_rows. From the first
-    depth where this is not shown, and for connectivity and hyper-zagreb
-    past their scaled rows, g reads the product alone: each depth keeps g(x
-    << t) for x = 2..x_max, so the next evaluates g only at x > x_max // 2,
-    and its rows are mu_row's floats in its order. From the first depth at
-    which g raises, and for other f, rows come from mu_row, which raises as
-    before."""
+    = 2**alpha. Assume g is within relative 2**-42 of the exact power
+    wherever either is normal: 1 / sqrt(p) and p * p are within 2.5u (past
+    the float range see invariants._inv_sqrt), and a libm pow within one ulp
+    is within 2**-52. Then each g(x << t) is within e = 2**-40 of (x <<
+    t)**alpha while normal (x << t converts exactly, x < 2**53; past 2**1024
+    see invariants._pow_past_floats), and a row's subtractions round by at
+    most u = 2**-53 each. So the computed margin m(x) lies between (1 -
+    u)(M(x) - err(x)) and (1 + u)(M(x) + err(x)), M(x) = |mu_(t+1)(x)|,
+    err(x) = A c (x**alpha + r2) and c = (1 + r2) e (1 + u) + |1 - r2| u.
+    M(x) - err(x) increases with x for either sign of alpha (given |1 - r2|
+    > c), so m(x) >= m(3) at every x >= 4 once (M(4) - err(4))(1 - u) >=
+    (M(3) + err(3))(1 + u). A cancels, and _least_at_3 checks what implies
+    it, once. Then, while a depth's values, from g(2 << t) to g(x_max << (t
+    + 1)), lie in _NORMAL, its row is the prefix [m(3)], from _power_rows.
+    From the first depth where this is not shown, each depth keeps g(x << t)
+    for x = 2..x_max, so the next evaluates g only at x > x_max // 2, and its
+    rows are mu_row's floats in its order. From the first depth at which g
+    raises, and for other f, rows come from mu_row, which raises as before."""
     g = f.multiset
     own = next((name for name, (_, form) in _SIMPLE_BUILTINS.items() if form is g), None)
     if own == "sum-connectivity":
@@ -299,18 +291,14 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
             width = 1 if all(map(ge, d, d[1:])) else len(roots)
             for i in range(0, 2 * (t1 - t0), 2):
                 row = [abs(v - d[i]) for v in d[i + 1 : i + 1 + width]]
-                yield row, min(row), True, 0
+                yield row, min(row), True
         return
-    j, e, bits = _SCALED.get(own, (1, 0, 0))
-    last = min(t_max, bits - 1 - roots[-1].bit_length())
-    base = [_margins(mu_row(f, t + 1, roots)) for t in range(min(j, last + 1))]
-    for t in range(last + 1):
-        yield *base[t % j], e * (t // j)
-    t = max(last + 1, 0)
-    power = getattr(g, "__code__", None) is _POWER_CODE
-    if power:
-        t = yield from _power_rows(g, roots[-1], t_max)
-    if t <= t_max and (own or power):
+    if own == "path-count":
+        yield from repeat(_margins(mu_row(f, 1, roots)), t_max + 1)
+        return
+    power = own or getattr(g, "__code__", None) is _POWER_CODE
+    t = (yield from _power_rows(g, roots[-1], t_max)) if power else 0
+    if t <= t_max and power:
         # a[x - 2] = g(x << t) for x = 2..x_max; at depth t + 1, a[x - 2] is
         # this depth's a[2x - 2] for 2x <= x_max, so only the larger x are new
         x_max = roots[-1]
@@ -319,13 +307,13 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
             for t in range(t, t_max + 1):
                 new = [x << t + 1 for x in range(x_max // 2 + 1, x_max + 1)]
                 b = a[2::2] + list(map(g, new, repeat(0)))
-                yield *_margins(list(map(sub, map(sub, a[1:], b[1:]), repeat(a[0] - b[0])))), 0
+                yield _margins(list(map(sub, map(sub, a[1:], b[1:]), repeat(a[0] - b[0]))))
                 a = b
             return
         except ArithmeticError:
             pass  # mu_row raises it at depth t, naming the index and the order
     for t in range(t, t_max + 1):
-        yield *_margins(mu_row(f, t + 1, roots)), 0
+        yield _margins(mu_row(f, t + 1, roots))
 
 
 def _margins(mu: list[float]) -> tuple[list[float], float, bool]:

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import FormatError, IndexEvaluationError, InvalidSpecError, _is_int, _need_int
 from .graph import DEFAULT_BUDGET, Census, Graph, build_graph, canonical_class, read_text
-from .invariants import InvariantFunction, evaluate_invariant, invariant_profile
+from .invariants import InvariantFunction, _real, evaluate_invariant, invariant_profile
 
 
 def _check_int_branch(length: object, count: object) -> None:
@@ -428,17 +428,18 @@ def _mu_row(f: InvariantFunction, h: int, degrees: Iterable[int]) -> list[float]
     The classes after degree x are a leaf sequence (x, 2, ..., 2, 1) of
     degree product x << (h - 1) and sum x + 2h - 1, and an inner one (x, 2,
     ..., 2) of product x << h and sum x + 2h. An index with a product-sum
-    form reads these, and builds no tuple; any other reads the tuples. Either
-    way a value is f(x + leaf) - f(x + inner) - (f(2 + leaf) - f(2 + inner)),
-    with the same floats and the same first error.
+    form reads these, and builds no tuple; any other reads the tuples, each
+    value checked to be a real number. Either way a value is f(x + leaf) -
+    f(x + inner) - (f(2 + leaf) - f(2 + inner)), with the same floats and the
+    same first error.
     """
     _need_int("order", h, 1)
     g = f.multiset
     try:
         if g is None:
             fn, leaf, inner = f.fn, (2,) * (h - 1) + (1,), (2,) * h
-            swap = fn((2,) + leaf) - fn((2,) + inner)
-            return [fn((x,) + leaf) - fn((x,) + inner) - swap for x in degrees]
+            swap = _real(fn((2,) + leaf)) - _real(fn((2,) + inner))
+            return [_real(fn((x,) + leaf)) - _real(fn((x,) + inner)) - swap for x in degrees]
         k, s = h - 1, 2 * h
         swap = g(2 << k, s + 1) - g(2 << h, s + 2)
         return [g(x << k, x + s - 1) - g(x << h, x + s) - swap for x in degrees]

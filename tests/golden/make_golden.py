@@ -85,14 +85,20 @@ CASES = [
                             "--x-max", "24", "--t-max", "8"), 0),
     ("check-conditions-7-path-count", ("check-conditions", "--theorem", "7", "--index", "path-count"), 0),
     ("check-conditions-8", ("check-conditions", "--theorem", "8", "--index", "hyper-zagreb"), 0),
-    # condition (b) from the rolling array of degree-product values: power
-    # at every depth, connectivity past its scaled rows
+    # condition (b) of a degree-product power from root degree 3 alone,
+    # then from the rolling array of degree-product values
     ("check-conditions-7-power", ("check-conditions", "--theorem", "7", "--index", "power:0.5",
                                   "--x-max", "512"), 0),
     ("check-conditions-8-power", ("check-conditions", "--theorem", "8", "--index", "power:-1",
                                   "--x-max", "100", "--t-max", "600"), 0),
     ("check-conditions-7-deep", ("check-conditions", "--theorem", "7", "--index", "connectivity",
                                  "--x-max", "64", "--t-max", "1850"), 0),
+    # past the one-margin rows: hyper-zagreb's products overflow to NaN
+    # rows, and connectivity's values turn subnormal
+    ("check-conditions-8-hyper-zagreb-deep-csv", ("check-conditions", "--theorem", "8",
+                                                  "--index", "hyper-zagreb", "--t-max", "520", *CSV), 0),
+    ("check-conditions-7-subnormal", ("check-conditions", "--theorem", "7", "--index", "connectivity",
+                                      "--x-max", "4", "--t-max", "2045"), 0),
     ("survey-starlike", ("survey", "--family", "starlike", "--size", "10", "--index", "connectivity"), 0),
     ("survey-starlike-22", ("survey", "--family", "starlike", "--size", "22", "--index", "connectivity"), 0),
     ("survey-starlike-30-sum-connectivity", ("survey", "--family", "starlike", "--size", "30",

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import sys
-from math import ldexp
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,6 +191,32 @@ def test_a_failure_in_b_names_the_index_and_the_order(family):
         CHECKS[family](deep_pole, x_max=8, t_max=6)
 
 
+NOT_REAL = {"NoneType": None, "str": "a", "complex": 1j}
+
+
+@pytest.mark.parametrize("family", sorted(CHECKS))
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+@pytest.mark.parametrize("order", [0, 2])
+def test_an_index_value_that_is_not_a_real_number_names_the_index_and_the_order(family, kind,
+                                                                                 order):
+    # Unregistered, so no symmetry draw refuses it: at order 0 condition (a)
+    # reads it, at order 2 the tuples of (b)'s depth 1.
+    value = NOT_REAL[kind]
+    f = InvariantFunction("s", lambda d: value if len(d) > order else 1.0 / len(d))
+    with pytest.raises(IndexEvaluationError,
+                       match=rf"^index 's' at order {order}: must be real number, not {kind}$"):
+        CHECKS[family](f, 8, 2)
+
+
+@pytest.mark.parametrize("kind", sorted(NOT_REAL))
+def test_mu_row_refuses_an_index_value_that_is_not_a_real_number(kind):
+    value = NOT_REAL[kind]
+    f = InvariantFunction("s", lambda d: value)
+    with pytest.raises(IndexEvaluationError,
+                       match=rf"^index 's' at order 2: must be real number, not {kind}$"):
+        mu_row(f, 2, [3])
+
+
 def _ends(d):
     return 1.0 / math.sqrt(d[0] * d[-1] + len(d))
 
@@ -226,11 +251,14 @@ def condition_b_cases(draw):
 @example((builtin("connectivity"), "starlike", 64, 60, 1e-9))
 @example((TUPLE_ONLY["nan-at-3"], "generalized", 300, 60, 0.0))
 @example((builtin("path-count"), "starlike", 4, 0, 0.0))
-# Near and past the ends of the built-ins' exact rows: connectivity's
-# products pass the largest float at order 1021 or 1022 and its rows end
-# where x << (t + 1) reaches 2**1800, and hyper-zagreb's squares overflow
-# once x << (t + 1) >= 2**512, so its margins turn NaN there and fail (b)
-# while the least margin stays 15.0 at depth 0.
+# Near and past the ends of the built-ins' one-margin rows: connectivity's
+# products pass the largest float at order 1021 or 1022 and its values turn
+# subnormal where x << (t + 1) passes 2**2042 (depth 2040 at x_max 4, 2039
+# at 5), and hyper-zagreb's squares overflow once x << (t + 1) >= 2**512, so
+# its margins turn NaN there and fail (b) while the least margin stays 15.0
+# at depth 0.
+@example((builtin("connectivity"), "starlike", 4, 2041, 1e-9))
+@example((builtin("connectivity"), "generalized", 5, 2040, 0.0))
 @example((builtin("connectivity"), "starlike", 4, 1800, 1e-9))
 @example((builtin("connectivity"), "starlike", 4, 1023, 1e-9))
 @example((builtin("connectivity"), "generalized", 5, 1025, 0.0))
@@ -321,17 +349,16 @@ POWERS = ("power:0.5", "power:-1", "power:2", "power:3.7", "power:-0.5", "power:
 )
 def test_built_in_rows_scale_or_shift_exactly_up_to_the_first_error(name, x_max):
     # Depth 1030, and 1850 for connectivity, whose products pass the float
-    # range near depth 1020 and whose exact rows end before 1800, is past the
-    # end of every exact range; a row shorter than mu_row's is a prefix,
-    # which holds the least margin. power:2 and power:3.7 raise before depth
-    # 1030, where a power passes the largest float; the powers below 1 read
-    # on past it, from their products' top bits.
+    # range near depth 1020, is past the largest float; a row shorter than
+    # mu_row's is a prefix, which holds the least margin. hyper-zagreb's rows
+    # turn NaN, and power:2 and power:3.7 raise, before depth 1030; the powers
+    # below 1 read on past it, from their products' top bits.
     f, roots = resolve_index(name), list(range(3, x_max + 1))
     depth = 1850 if name == "connectivity" else 1030
     want, got = _scan_rows(f, roots, depth), []
     try:
-        for (row, low, finite, k), scanned in zip(_rows_b(f, roots, depth), want):
-            got.append(([ldexp(m, k) for m in row] + scanned[0][len(row) :], ldexp(low, k), finite))
+        for (row, low, finite), scanned in zip(_rows_b(f, roots, depth), want):
+            got.append((row + scanned[0][len(row) :], low, finite))
     except IndexEvaluationError as exc:
         got.append(str(exc))
     assert repr(got) == repr(want)
@@ -349,10 +376,11 @@ def _counted_rows(monkeypatch):
     return depths
 
 
-ROUTES = [("connectivity", 2, 320), ("hyper-zagreb", 1, 320), ("path-count", 1, 320),
+ROUTES = [("connectivity", 0, 320), ("hyper-zagreb", 0, 320), ("path-count", 1, 320),
           ("sum-connectivity", 0, 320), ("power:0.5", 0, 320), ("ends", 321, 320),
-          # past its scaled rows, which end at depth 1792, from the rolling array
-          ("connectivity", 2, 1850)]
+          # one margin a depth past the float range, to depth 2035, then its
+          # subnormal values from the rolling array
+          ("connectivity", 0, 1850), ("connectivity", 0, 2048)]
 
 
 @pytest.mark.parametrize("family", sorted(CHECKS))
@@ -399,7 +427,11 @@ def test_a_power_scan_evaluates_its_form_a_few_times_a_depth(family, name):
     "name, x_max, t_max, width_1",
     [("power:0.5", 512, 1000, 1001), ("power:-0.5", 512, 2048, 2033), ("power:-1", 512, 2048, 1012),
      ("power:-1", 5, 1030, 1018), ("power:3.7", 64, 200, 201), ("power:-60", 600, 60, 7),
-     ("power:-66", 600, 60, 0), ("power:1e-12", 64, 40, 0), ("power:0.0", 64, 40, 0)],
+     ("power:-66", 600, 60, 0), ("power:1e-12", 64, 40, 0), ("power:0.0", 64, 40, 0),
+     # connectivity's values leave the normal range where x_max << (t + 1)
+     # passes 2**2042, and hyper-zagreb's where it passes 2**511.5
+     ("connectivity", 512, 2200, 2033), ("connectivity", 4, 2045, 2040),
+     ("hyper-zagreb", 512, 510, 502)],
 )
 def test_power_rows_hold_one_margin_until_the_route_cannot_be_shown(name, x_max, t_max, width_1):
     # From the first depth whose values leave the normal range, or from
@@ -419,7 +451,7 @@ LOOKALIKES = {
     "named": (InvariantFunction("hyper-zagreb", CONNECTIVITY.fn, lambda p, s: 1.0 / math.sqrt(p)),
               41, CONNECTIVITY),
     # the built-in's own form under another name takes the exact rows
-    "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 2, CONNECTIVITY),
+    "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 0, CONNECTIVITY),
     # power's name and form, but not made by builtin: the rows are not rolled
     "power": (InvariantFunction("power:0.5", POWER.fn, lambda q, s: q**0.5), 41, POWER),
 }
