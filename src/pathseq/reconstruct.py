@@ -193,8 +193,9 @@ def _order0_values(f: InvariantFunction, degrees: list[int]) -> list[float]:
     value that is not a real number, is named as f's call names a failure."""
     g = f.multiset
     try:
-        values = [f.fn((d,)) for d in degrees] if g is None else map(g, degrees, degrees)
-        return list(map(_real, values))
+        if g is None:
+            return [_real(f.fn((d,))) for d in degrees]
+        return list(map(g, degrees, degrees))
     except (ArithmeticError, TypeError) as exc:
         raise IndexEvaluationError(f"index {f.name!r} at order 0: {exc}") from exc
 
@@ -239,9 +240,7 @@ def _power_rows(
             b2, b3, top = g(4 << t, 0), g(6 << t, 0), g(x_max << t + 1, 0)
             if not (_NORMAL[0] <= a2 <= _NORMAL[1] and _NORMAL[0] <= top <= _NORMAL[1]):
                 break
-            # the values are finite, so the margin is no NaN
-            m = abs(a3 - b3 - (a2 - b2))
-            yield [m], m, True
+            yield _margins([a3 - b3 - (a2 - b2)])
             a2, a3, t = b2, b3, t + 1
     except ArithmeticError:
         pass  # the rolling array meets the error at depth t

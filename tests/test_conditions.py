@@ -450,7 +450,7 @@ LOOKALIKES = {
     # a built-in's name on another product-sum form of the same index
     "named": (InvariantFunction("hyper-zagreb", CONNECTIVITY.fn, lambda p, s: 1.0 / math.sqrt(p)),
               41, CONNECTIVITY),
-    # the built-in's own form under another name takes the exact rows
+    # the built-in's own form under another name takes the built-in's route
     "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 0, CONNECTIVITY),
     # power's name and form, but not made by builtin: the rows are not rolled
     "power": (InvariantFunction("power:0.5", POWER.fn, lambda q, s: q**0.5), 41, POWER),
