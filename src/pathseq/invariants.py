@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from numbers import Real
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import IndexEvaluationError, SymmetryError, UnknownIndexError, _need_int
 from .graph import DEFAULT_BUDGET, Census, Graph
@@ -24,9 +24,9 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 
 def _check_tol(tol: float) -> None:
-    """ValueError unless tol is a real in [0, 1): at tol >= 1 any two values of
-    one sign are _close, and below 0 (or NaN) a value is not _close to itself."""
-    if not (isinstance(tol, Real) and 0 <= tol < 1):
+    """ValueError unless tol is a real in [0, 1), not a bool: at tol >= 1 any two
+    values of one sign are _close, and below 0 (or NaN) a value is not _close to itself."""
+    if not (isinstance(tol, Real) and not isinstance(tol, bool) and 0 <= tol < 1):
         raise ValueError(f"tolerance must be >= 0 and < 1, got {tol!r}")
 
 
@@ -177,8 +177,9 @@ def _real(v: float) -> float:
     raise TypeError(f"must be real number, not {type(v).__name__}")
 
 
-def validate_symmetry(fn: Callable[[tuple[int, ...]], float], rng: random.Random) -> None:
-    """Spot-check reversal symmetry on random degree sequences.
+def validate_symmetry(fn: Callable[[tuple[int, ...]], float], rng: Any) -> None:
+    """Spot-check reversal symmetry on degree sequences drawn by rng.randint,
+    as a random.Random draws them.
 
     Raises SymmetryError on the first violating sequence; IndexEvaluationError if f fails.
     """
@@ -203,7 +204,8 @@ def register_invariant(name: str, fn: Callable[[tuple[int, ...]], float]) -> Inv
     """Register a user-supplied index function after a seeded symmetry check."""
     if not callable(fn):
         raise ValueError(f"index function for {name!r} must be callable, got {fn!r}")
-    if name in _SIMPLE_BUILTINS or name == "power":
+    # resolve_index reads the registry first, so "power:2" would shadow the built-in
+    if str(name).partition(":")[0] in (*_SIMPLE_BUILTINS, "power"):
         raise ValueError(f"{name!r} is reserved for a built-in index")
     import random  # only a registration draws sequences
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import combinations, pairwise, repeat
 from math import inf, perm
 from numbers import Real
-from operator import ge, sub
+from operator import ge
 from typing import Callable, Generator, Iterator, NamedTuple
 
 from .errors import (
@@ -243,7 +243,7 @@ def _power_rows(
             yield _margins([a3 - b3 - (a2 - b2)])
             a2, a3, t = b2, b3, t + 1
     except ArithmeticError:
-        pass  # the rolling array meets the error at depth t
+        pass  # mu_row meets the error at depth t
     return t
 
 
@@ -253,11 +253,12 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     row's least non-NaN value, finite False if one is NaN. roots are the
     degrees 3..x_max.
 
-    Sum-connectivity reads degree sums s only: its rows are the same float
-    subtractions from D[s] = psi(s) - psi(s + 1), tabled for x_max - 2 depths
-    at a time to keep memory O(x_max). Rounding is monotone, so where D is
-    nonincreasing, a row's first margin is its least and first failure.
-    Path-count's form is the constant 1.0, so every row is depth 0's zeros.
+    Sum-connectivity and path-count read degree sums s only (path-count's
+    constant form reads none): their rows are the same float subtractions
+    from D[s] = psi(s) - psi(s + 1), tabled for x_max - 2 depths at a time to
+    keep memory O(x_max). Rounding is monotone, so where D is nonincreasing,
+    as path-count's all-zero D is, a row's first margin is its least and
+    first failure.
 
     Connectivity, hyper-zagreb and power:alpha are p**alpha of the degree
     product p (alpha = -1/2 and 2 for the first two), computed as g(p), so
@@ -276,13 +277,11 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
     (M(3) + err(3))(1 + u). A cancels, and _least_at_3 checks what implies
     it, once. Then, while a depth's values, from g(2 << t) to g(x_max << (t
     + 1)), lie in _NORMAL, its row is the prefix [m(3)], from _power_rows.
-    From the first depth where this is not shown, each depth keeps g(x << t)
-    for x = 2..x_max, so the next evaluates g only at x > x_max // 2, and its
-    rows are mu_row's floats in its order. From the first depth at which g
-    raises, and for other f, rows come from mu_row, which raises as before."""
+    From the first depth where this is not shown, and for other f, rows come
+    from mu_row, which raises as before."""
     g = f.multiset
     own = next((name for name, (_, form) in _SIMPLE_BUILTINS.items() if form is g), None)
-    if own == "sum-connectivity":
+    if own in ("sum-connectivity", "path-count"):
         for t0 in range(0, t_max + 1, len(roots)):
             t1 = min(t0 + len(roots), t_max + 1)
             psi = map(g, repeat(0), range(2 * t0 + 3, roots[-1] + 2 * t1 + 1))
@@ -292,25 +291,8 @@ def _rows_b(f: InvariantFunction, roots: list[int], t_max: int) -> Iterator[tupl
                 row = [abs(v - d[i]) for v in d[i + 1 : i + 1 + width]]
                 yield row, min(row), True
         return
-    if own == "path-count":
-        yield from repeat(_margins(mu_row(f, 1, roots)), t_max + 1)
-        return
     power = own or getattr(g, "__code__", None) is _POWER_CODE
     t = (yield from _power_rows(g, roots[-1], t_max)) if power else 0
-    if t <= t_max and power:
-        # a[x - 2] = g(x << t) for x = 2..x_max; at depth t + 1, a[x - 2] is
-        # this depth's a[2x - 2] for 2x <= x_max, so only the larger x are new
-        x_max = roots[-1]
-        try:
-            a = list(map(g, [x << t for x in range(2, x_max + 1)], repeat(0)))
-            for t in range(t, t_max + 1):
-                new = [x << t + 1 for x in range(x_max // 2 + 1, x_max + 1)]
-                b = a[2::2] + list(map(g, new, repeat(0)))
-                yield _margins(list(map(sub, map(sub, a[1:], b[1:]), repeat(a[0] - b[0]))))
-                a = b
-            return
-        except ArithmeticError:
-            pass  # mu_row raises it at depth t, naming the index and the order
     for t in range(t, t_max + 1):
         yield _margins(mu_row(f, t + 1, roots))
 

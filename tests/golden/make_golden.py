@@ -85,8 +85,7 @@ CASES = [
                             "--x-max", "24", "--t-max", "8"), 0),
     ("check-conditions-7-path-count", ("check-conditions", "--theorem", "7", "--index", "path-count"), 0),
     ("check-conditions-8", ("check-conditions", "--theorem", "8", "--index", "hyper-zagreb"), 0),
-    # condition (b) of a degree-product power from root degree 3 alone,
-    # then from the rolling array of degree-product values
+    # condition (b) of a degree-product power from root degree 3 alone
     ("check-conditions-7-power", ("check-conditions", "--theorem", "7", "--index", "power:0.5",
                                   "--x-max", "512"), 0),
     ("check-conditions-8-power", ("check-conditions", "--theorem", "8", "--index", "power:-1",

@@ -664,8 +664,9 @@ def _loaded_modules(*argv: str) -> set[str]:
     return set(proc.stderr.split())
 
 
-# fractions pulls in decimal; dataclasses pulls in inspect
-_NEVER_LOADED = {"fractions", "decimal", "dataclasses", "inspect"}
+# fractions pulls in decimal; dataclasses pulls in inspect; only a
+# registration draws from random
+_NEVER_LOADED = {"fractions", "decimal", "dataclasses", "inspect", "random"}
 
 
 def test_cli_import_loads_no_command_module():

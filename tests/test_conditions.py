@@ -270,8 +270,8 @@ def condition_b_cases(draw):
 @example((builtin("sum-connectivity"), "generalized", 7, 2000, 0.0))
 # power's products pass the largest float near order 1021, and a power
 # below 1 reads on from their top bits. power:-1's values leave the normal
-# range at depth 1017, where its rows pass from root degree 3 alone to the
-# rolling array; the other two keep to degree 3 throughout.
+# range at depth 1017, where its rows pass from root degree 3 alone to
+# mu_row's whole rows; the other two keep to degree 3 throughout.
 @example((builtin("power", 0.5), "starlike", 7, 1021, 1e-9))
 @example((builtin("power", -1.0), "generalized", 9, 1020, 0.0))
 @example((builtin("power", -0.5), "starlike", 5, 1019, 0.3))
@@ -343,8 +343,8 @@ POWERS = ("power:0.5", "power:-1", "power:2", "power:3.7", "power:-0.5", "power:
 @pytest.mark.parametrize(
     "x_max, name",
     [(x_max, name) for name in BUILT_INS for x_max in (4, 7, 8, 63, 64, 65)]
-    # 511 and 512 split the degrees unevenly and evenly into the halves of
-    # the rolling array
+    # at 511 and 512, an odd and an even x_max, power:-1's rows turn whole
+    # from depth 1012, where its values leave the normal range
     + [(x_max, name) for name in POWERS for x_max in (5, 511, 512)],
 )
 def test_built_in_rows_scale_or_shift_exactly_up_to_the_first_error(name, x_max):
@@ -376,24 +376,26 @@ def _counted_rows(monkeypatch):
     return depths
 
 
-ROUTES = [("connectivity", 0, 320), ("hyper-zagreb", 0, 320), ("path-count", 1, 320),
-          ("sum-connectivity", 0, 320), ("power:0.5", 0, 320), ("ends", 321, 320),
+# (index, the depths whose rows come from mu_row, t_max), at x_max 64
+ROUTES = [("connectivity", [], 320), ("hyper-zagreb", [], 320), ("path-count", [], 320),
+          ("sum-connectivity", [], 320), ("power:0.5", [], 320), ("ends", list(range(321)), 320),
           # one margin a depth past the float range, to depth 2035, then its
-          # subnormal values from the rolling array
-          ("connectivity", 0, 1850), ("connectivity", 0, 2048)]
+          # subnormal values from mu_row
+          ("connectivity", [], 1850), ("connectivity", list(range(2036, 2049)), 2048)]
 
 
 @pytest.mark.parametrize("family", sorted(CHECKS))
 @pytest.mark.parametrize(
     "name, rows, t_max", ROUTES,
-    ids=[f"{name}-{rows}" + (f"-{t_max}" if t_max != 320 else "") for name, rows, t_max in ROUTES],
+    ids=[f"{name}-{len(rows)}" + (f"-{t_max}" if t_max != 320 else "")
+         for name, rows, t_max in ROUTES],
 )
 def test_condition_b_reads_one_period_of_rows_for_the_built_ins(monkeypatch, family, name, rows,
                                                                  t_max):
     f = TUPLE_ONLY.get(name) or resolve_index(name)
     depths = _counted_rows(monkeypatch)
     CHECKS[family](f, 64, t_max)
-    assert depths == list(range(rows))
+    assert depths == rows
 
 
 def _form_calls(f, call):
@@ -415,9 +417,9 @@ def _form_calls(f, call):
 @pytest.mark.parametrize("family", sorted(CHECKS))
 @pytest.mark.parametrize("name", ["power:0.5", "power:-0.5", "power:2"])
 def test_a_power_scan_evaluates_its_form_a_few_times_a_depth(family, name):
-    # Condition (a) reads x_max values and each depth of (b) three, where the
-    # rolling array read about 256 a depth (power:0.5: 257,000 in all). power:2
-    # raises at order 503; its (b) takes two depths of the rolling array.
+    # Condition (a) reads x_max values and each depth of (b) three, where a
+    # whole row from mu_row reads 1,022. power:2 raises at order 503, part
+    # way through mu_row's row at depth 502.
     f = resolve_index(name)
     calls = _form_calls(f, lambda: _outcome(CHECKS[family], f, 512, 1000))
     assert calls <= 512 + 3 * (1000 + 1) + 3 + (2 * 512 if name == "power:2" else 0)
@@ -452,7 +454,7 @@ LOOKALIKES = {
               41, CONNECTIVITY),
     # the built-in's own form under another name takes the built-in's route
     "renamed": (InvariantFunction("mine", CONNECTIVITY.fn, CONNECTIVITY.multiset), 0, CONNECTIVITY),
-    # power's name and form, but not made by builtin: the rows are not rolled
+    # power's name and form, but not made by builtin: every row is mu_row's
     "power": (InvariantFunction("power:0.5", POWER.fn, lambda q, s: q**0.5), 41, POWER),
 }
 

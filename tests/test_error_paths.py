@@ -11,6 +11,7 @@ import re
 import sys
 import tracemalloc
 import types
+import typing
 
 import pytest
 from hypothesis import given, settings
@@ -414,10 +415,12 @@ _NOT_A_NUMBER = st.one_of(st.none(), st.text(max_size=3), st.complex_numbers(all
 def _wrong(least):
     """Values a parameter refuses: for an int, any float, bool or non-number
     and the ints below its least; for a tolerance, any value that is not a
-    real number in [0, 1)."""
+    real number in [0, 1), and False."""
     if least == "tol":
         outside = st.floats().filter(lambda t: not 0 <= t < 1)
-        return st.one_of(outside, st.integers().filter(lambda t: t != 0), _NOT_A_NUMBER)
+        # False == 0, yet a bool is no tolerance, as True is no size
+        return st.one_of(outside, st.integers().filter(lambda t: t != 0), st.just(False),
+                         _NOT_A_NUMBER)
     below = [] if least is None else [st.integers(max_value=least - 1)]
     return st.one_of(*below, st.floats(), st.fractions(), st.booleans(), _NOT_A_NUMBER)
 
@@ -512,3 +515,12 @@ def test_star_import_exports_no_module_and_every_name_in_use():
         for chain in chains:
             module, name = chain.split(".")
             assert hasattr(getattr(pathseq, module), name), (relpath, chain)
+
+
+def test_every_public_callables_annotations_resolve():
+    # validate_symmetry's rng read random.Random, a name invariants does not
+    # import at load
+    for name in pathseq.__all__:
+        value = getattr(pathseq, name)
+        if callable(value):
+            typing.get_type_hints(value)

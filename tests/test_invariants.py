@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 
 import pytest
@@ -87,6 +88,16 @@ def test_register_and_resolve_custom_index():
 def test_register_rejects_reserved_names():
     with pytest.raises(ValueError):
         register_invariant("connectivity", lambda d: 1.0)
+
+
+@pytest.mark.parametrize("name", ["power:2", "connectivity:1", "path-count:"])
+def test_register_rejects_a_name_that_would_shadow_a_built_in(name):
+    # resolve_index reads the registry first, so "power:2" answered with the
+    # registered function while "power:2.0" gave the built-in
+    message = f"{name!r} is reserved for a built-in index"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        register_invariant(name, lambda d: 1.0)
+    assert name not in _registry
 
 
 def test_register_rejects_an_index_that_is_not_callable():
